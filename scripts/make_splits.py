@@ -24,6 +24,7 @@ from slotnoise.perturb import (
     CHAR_TYPOS,
     WORD_HOMOPHONE,
     PerturbationSpec,
+    _remap_deleted,
     compose,
     perturb_dataset,
     spec_to_dict,
@@ -108,20 +109,6 @@ def _span_tokens(ex: LabeledExample) -> set[int]:
     return covered
 
 
-def _remap_kept(ex: LabeledExample, keep: list[bool]) -> tuple[tuple[str, ...], tuple[SlotSpan, ...]]:
-    new_index: dict[int, int] = {}
-    pos = 0
-    for i, kept in enumerate(keep):
-        if kept:
-            new_index[i] = pos
-            pos += 1
-    tokens = tuple(tok for tok, kept in zip(ex.tokens, keep) if kept)
-    spans = tuple(
-        SlotSpan(new_index[s.start], new_index[s.end], s.slot_type) for s in ex.spans
-    )
-    return tokens, spans
-
-
 def rewrite_verbose(ex: LabeledExample, index: int) -> LabeledExample:
     prefix = ("um", "could", "you", "please") if index % 2 else ("hey", "there", "i", "would", "like", "to")
     suffix = ("if", "you", "do", "not", "mind") if index % 3 == 0 else ("right", "away", "please")
@@ -142,8 +129,11 @@ def rewrite_simplification(ex: LabeledExample) -> LabeledExample:
     ]
     if not any(keep):
         keep[0] = True
-    tokens, spans = _remap_kept(ex, keep)
-    return LabeledExample(id=ex.id, tokens=tokens, spans=spans, provenance=("simplification",))
+    tokens = tuple(tok for tok, kept in zip(ex.tokens, keep) if kept)
+    spans, _, _ = _remap_deleted(ex.spans, keep)
+    return LabeledExample(
+        id=ex.id, tokens=tokens, spans=tuple(spans), provenance=("simplification",)
+    )
 
 
 def rewrite_paraphrase(ex: LabeledExample) -> LabeledExample:

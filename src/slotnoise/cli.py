@@ -43,38 +43,39 @@ def _resolve_kind(name: str) -> str:
 
 
 def _spec_assets(args: argparse.Namespace) -> dict:
-    assets: dict = {}
-    if getattr(args, "homophones", None):
-        assets["homophone_lexicon"] = args.homophones
-    if getattr(args, "sentences", None):
-        assets["sentence_pool"] = args.sentences
-    if getattr(args, "vocab", None):
-        assets["insert_vocab"] = args.vocab
-    if getattr(args, "paraphrase_provider", None):
-        assets["paraphrase_provider"] = args.paraphrase_provider
-    return assets
+    flags = {
+        "homophone_lexicon": args.homophones,
+        "sentence_pool": args.sentences,
+        "insert_vocab": args.vocab,
+        "paraphrase_provider": args.paraphrase_provider,
+    }
+    return {key: value for key, value in flags.items() if value}
+
+
+def _member_specs(args: argparse.Namespace, seed_tag: str) -> list[perturb.PerturbationSpec]:
+    """One spec per --members kind, seeded from --seed and '<seed_tag>:<kind>'."""
+    assets = _spec_assets(args)
+    specs = []
+    for name in args.members.split(","):
+        if not name.strip():
+            continue
+        kind = _resolve_kind(name)
+        if kind == perturb.COMPOSITE:
+            raise ConfigError("composite members must not be composites")
+        seed = perturb.derive_seed(args.seed, f"{seed_tag}:{kind}")
+        specs.append(perturb.PerturbationSpec(kind=kind, p=args.p, seed=seed, assets=assets))
+    return specs
 
 
 def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
     kind = _resolve_kind(args.kind)
-    assets = _spec_assets(args)
     if kind != perturb.COMPOSITE:
-        return perturb.PerturbationSpec(kind=kind, p=args.p, seed=args.seed, assets=assets)
-    if not args.members:
-        raise ConfigError("composite kind requires --members")
-    members = []
-    for name in args.members.split(","):
-        member_kind = _resolve_kind(name)
-        if member_kind == perturb.COMPOSITE:
-            raise ConfigError("composite members must not be composites")
-        members.append(
-            perturb.PerturbationSpec(
-                kind=member_kind,
-                p=args.p,
-                seed=perturb.derive_seed(args.seed, f"member:{member_kind}"),
-                assets=assets,
-            )
+        return perturb.PerturbationSpec(
+            kind=kind, p=args.p, seed=args.seed, assets=_spec_assets(args)
         )
+    members = _member_specs(args, "member")
+    if not members:
+        raise ConfigError("composite kind requires --members")
     return perturb.compose(members, seed=args.seed)
 
 
@@ -97,19 +98,7 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 def cmd_pool(args: argparse.Namespace) -> int:
     clean = corpus.load_dataset(args.in_path, split_name="clean")
-    specs = []
-    for name in (args.members or "").split(","):
-        if not name.strip():
-            continue
-        kind = _resolve_kind(name)
-        specs.append(
-            perturb.PerturbationSpec(
-                kind=kind,
-                p=args.p,
-                seed=perturb.derive_seed(args.seed, f"pool:{kind}"),
-                assets=_spec_assets(args),
-            )
-        )
+    specs = _member_specs(args, "pool")
     pool = pools.build_pool(clean, specs)
     pools.save_pool(pool, args.out, specs)
     print(
@@ -123,16 +112,7 @@ def cmd_pool(args: argparse.Namespace) -> int:
 def cmd_demo_preview(args: argparse.Namespace) -> int:
     test = corpus.load_dataset(args.in_path)
     clean = corpus.load_dataset(args.clean, split_name="clean")
-    specs = []
-    for name in (args.members or "").split(","):
-        if not name.strip():
-            continue
-        kind = _resolve_kind(name)
-        specs.append(
-            perturb.PerturbationSpec(
-                kind=kind, p=args.p, seed=perturb.derive_seed(args.seed, f"pool:{kind}")
-            )
-        )
+    specs = _member_specs(args, "pool")
     pool = pools.build_pool(clean, specs)
     labels = pool.clean.labels
     for ex in list(test)[: args.count]:
@@ -166,7 +146,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = harness.RunConfig.from_json(args.config)
     ks = [int(k) for k in args.ks.split(",") if k.strip()]
-    results = harness.sweep_demo_count(cfg, ks)
+    harness.sweep_demo_count(cfg, ks)
     print((Path(cfg.out_dir) / "sweep.tsv").read_text(encoding="utf-8"), end="")
     return 0
 

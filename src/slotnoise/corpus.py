@@ -12,7 +12,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DataError, ParseError
 
@@ -239,6 +239,24 @@ def spans_to_bio(spans: Sequence[SlotSpan], n: int) -> list[str]:
             tags[i] = "I-" + span.slot_type
         prev_end = span.end
     return tags
+
+
+def leftmost_match(
+    haystack: Sequence[str], needle: Sequence[str], taken: Collection[int] = ()
+) -> int | None:
+    """Start of the leftmost occurrence of needle in haystack avoiding taken.
+
+    An empty needle matches nothing.
+    """
+    n = len(needle)
+    if not n:
+        return None
+    for i in range(len(haystack) - n + 1):
+        if any(j in taken for j in range(i, i + n)):
+            continue
+        if all(haystack[i + j] == needle[j] for j in range(n)):
+            return i
+    return None
 
 
 def _example_to_record(ex: LabeledExample) -> dict:

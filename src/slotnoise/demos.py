@@ -65,10 +65,6 @@ def _local_embed(text: str) -> np.ndarray:
     return vec
 
 
-def local_embedding_provider(texts: Sequence[str]) -> np.ndarray:
-    return np.stack([_local_embed(t) for t in texts]) if texts else np.zeros((0, EMBED_DIM))
-
-
 def http_embedding_provider(endpoint: str, timeout: float = 30.0) -> EmbeddingProvider:
     """Provider posting {"texts": [...]} and expecting {"vectors": [[...]]}."""
 

@@ -25,6 +25,8 @@ from .demos import (
     DemonstrationSet,
     ENTITY_MODE,
     INSTANCE_MODE,
+    MODES as DEMO_MODES,
+    STRATEGIES,
     build_entity_demos,
     build_instance_demos,
     http_embedding_provider,
@@ -32,11 +34,21 @@ from .demos import (
 from .errors import ConfigError, HarnessError
 from .parser import parse_predictions
 from .perturb import PerturbationSpec, derive_seed, spec_from_dict, spec_to_dict
-from .pools import DataPool, build_pool
+from .pools import POOL_LABELS, DataPool, build_pool
 from .prompts import bundled_registry, load_registry, render_prompt
-from .scorer import EvalResult, MatchCounts, aggregate, score_example
+from .schema import fields_to_dict, scalars_from_dict
+from .scorer import MODES as SCORING_MODES, EvalResult, MatchCounts, aggregate, score_example
 
 log = logging.getLogger(__name__)
+
+# Config fields holding paths, resolved against the config file's directory.
+_PATH_FIELDS = ("out_dir", "pool_clean", "templates_dir", "labels_path", "cache_dir")
+_ENUMS = {
+    "demo_mode": DEMO_MODES,
+    "demo_strategy": STRATEGIES,
+    "demo_pool": POOL_LABELS,
+    "scoring_mode": SCORING_MODES,
+}
 
 
 @dataclass(frozen=True)
@@ -71,38 +83,16 @@ class RunConfig:
             raise ConfigError("config needs at least one test split")
         if self.demo_k < 0:
             raise ConfigError(f"demo_k must be >= 0, got {self.demo_k}")
+        for key, allowed in _ENUMS.items():
+            if getattr(self, key) not in allowed:
+                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "test_splits": {group: path for group, path in self.test_splits},
-            "out_dir": self.out_dir,
-            "pool_clean": self.pool_clean,
-            "pool_specs": [spec_to_dict(s) for s in self.pool_specs],
-            "demo_mode": self.demo_mode,
-            "demo_strategy": self.demo_strategy,
-            "demo_pool": self.demo_pool,
-            "demo_k": self.demo_k,
-            "template_id": self.template_id,
-            "templates_dir": self.templates_dir,
-            "model": {
-                "kind": self.model.kind,
-                "model": self.model.model,
-                "endpoint": self.model.endpoint,
-                "temperature": self.model.temperature,
-                "max_in_flight": self.model.max_in_flight,
-                "timeout": self.model.timeout,
-                "error_rate": self.model.error_rate,
-                "seed": self.model.seed,
-                "fixed_text": self.model.fixed_text,
-            },
-            "scoring_mode": self.scoring_mode,
-            "seed": self.seed,
-            "labels_path": self.labels_path,
-            "embed_endpoint": self.embed_endpoint,
-            "max_error_fraction": self.max_error_fraction,
-            "cache_dir": self.cache_dir,
-        }
+        out = fields_to_dict(self)
+        out["test_splits"] = dict(self.test_splits)
+        out["pool_specs"] = [spec_to_dict(s) for s in self.pool_specs]
+        out["model"] = fields_to_dict(self.model, omit=("labels",))
+        return out
 
     @classmethod
     def from_dict(cls, data: Mapping, base_dir: Path | None = None) -> "RunConfig":
@@ -112,43 +102,17 @@ class RunConfig:
             path = Path(value)
             return str(path if path.is_absolute() else base_dir / path)
 
-        raw_splits = data["test_splits"]
-        if isinstance(raw_splits, Mapping):
-            splits = tuple((str(g), _resolve(str(p))) for g, p in raw_splits.items())
-        else:
-            splits = tuple((str(g), _resolve(str(p))) for g, p in raw_splits)
-        model_data = dict(data.get("model", {}))
-        model = ModelConfig(
-            kind=str(model_data.get("kind", "echo_gold")),
-            model=str(model_data.get("model", "")),
-            endpoint=str(model_data.get("endpoint", "")),
-            temperature=float(model_data.get("temperature", 0.0)),
-            max_in_flight=int(model_data.get("max_in_flight", 1)),
-            timeout=float(model_data.get("timeout", 30.0)),
-            error_rate=float(model_data.get("error_rate", 0.0)),
-            seed=int(model_data.get("seed", 0)),
-            fixed_text=str(model_data.get("fixed_text", "")),
-        )
-        return cls(
-            test_splits=splits,
-            out_dir=_resolve(str(data["out_dir"])),
-            name=str(data.get("name", "run")),
-            pool_clean=_resolve(str(data.get("pool_clean", ""))),
-            pool_specs=tuple(spec_from_dict(s) for s in data.get("pool_specs", [])),
-            demo_mode=str(data.get("demo_mode", INSTANCE_MODE)),
-            demo_strategy=str(data.get("demo_strategy", "random")),
-            demo_pool=str(data.get("demo_pool", "clean")),
-            demo_k=int(data.get("demo_k", 0)),
-            template_id=str(data.get("template_id", "t1_english")),
-            templates_dir=_resolve(str(data.get("templates_dir", ""))),
-            model=model,
-            scoring_mode=str(data.get("scoring_mode", "text_match")),
-            seed=int(data.get("seed", 0)),
-            labels_path=_resolve(str(data.get("labels_path", ""))),
-            embed_endpoint=str(data.get("embed_endpoint", "")),
-            max_error_fraction=float(data.get("max_error_fraction", 0.1)),
-            cache_dir=_resolve(str(data.get("cache_dir", ""))),
-        )
+        kwargs = scalars_from_dict(cls, data, "config")
+        for key in _PATH_FIELDS:
+            if key in kwargs:
+                kwargs[key] = _resolve(kwargs[key])
+        splits = data["test_splits"]
+        pairs = splits.items() if isinstance(splits, Mapping) else splits
+        kwargs["test_splits"] = tuple((str(g), _resolve(str(p))) for g, p in pairs)
+        kwargs["pool_specs"] = tuple(spec_from_dict(s) for s in data.get("pool_specs", ()))
+        model = scalars_from_dict(ModelConfig, data.get("model", {}), "model", omit=("labels",))
+        kwargs["model"] = ModelConfig(**model)
+        return cls(**kwargs)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
@@ -202,15 +166,23 @@ def _build_demos(
         return build_entity_demos(
             ex, pool, cfg.demo_pool, labels, cfg.demo_strategy, demo_seed, provider
         )
-    if cfg.demo_mode == INSTANCE_MODE:
-        return build_instance_demos(
-            ex, pool, cfg.demo_pool, cfg.demo_strategy, cfg.demo_k, demo_seed, provider
-        )
-    raise ConfigError(f"unknown demo mode: {cfg.demo_mode!r}")
+    return build_instance_demos(
+        ex, pool, cfg.demo_pool, cfg.demo_strategy, cfg.demo_k, demo_seed, provider
+    )
+
+
+def _template_registry(cfg: RunConfig, template_ids: Sequence[str]) -> Mapping:
+    """The run's template registry, checked to hold every one of template_ids."""
+    registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
+    unknown = [tid for tid in template_ids if tid not in registry]
+    if unknown:
+        raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
+    return registry
 
 
 def run_experiment(cfg: RunConfig) -> EvalResult:
     """Execute a full run and write its logs and report to cfg.out_dir."""
+    template = _template_registry(cfg, [cfg.template_id])[cfg.template_id]
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
@@ -226,11 +198,6 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
         clean = load_dataset(cfg.pool_clean, split_name="clean")
         pool = build_pool(clean, cfg.pool_specs)
     labels = _collect_labels(cfg, splits, pool)
-
-    registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
-    if cfg.template_id not in registry:
-        raise ConfigError(f"unknown template id: {cfg.template_id!r}")
-    template = registry[cfg.template_id]
 
     model = cfg.model
     if model.kind == NOISY_ORACLE and not model.labels:
@@ -372,6 +339,7 @@ def compare_templates(cfg: RunConfig, template_ids: Sequence[str]) -> dict[str, 
     """One run per template with fixed seed and demo configuration."""
     if not template_ids:
         raise ConfigError("compare_templates needs at least one template id")
+    _template_registry(cfg, template_ids)
     out = Path(cfg.out_dir)
     shared_cache = cfg.cache_dir or str(out / "cache")
     results: dict[str, EvalResult] = {}

@@ -14,7 +14,6 @@ shift spans but are forbidden strictly inside one; appends leave spans alone.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 import string
 from dataclasses import dataclass, field, replace
@@ -24,8 +23,9 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .corpus import Dataset, LabeledExample, SlotSpan
+from .corpus import Dataset, LabeledExample, SlotSpan, leftmost_match
 from .errors import ClientError, ConfigError
+from .schema import check_keys, scalars_from_dict
 
 CHAR_TYPOS = "char_typos"
 WORD_HOMOPHONE = "word_homophone"
@@ -84,6 +84,9 @@ _COMPOSITE_NAMES = {
 _ASSETS_DIR = Path(__file__).parent / "assets"
 DEFAULT_HOMOPHONES = _ASSETS_DIR / "homophones.txt"
 DEFAULT_SENTENCE_POOL = _ASSETS_DIR / "irrelevant_sentences.txt"
+
+# The asset names the operators read from PerturbationSpec.assets.
+ASSET_KEYS = ("homophone_lexicon", "sentence_pool", "insert_vocab", "paraphrase_provider")
 
 _ALPHABET = string.ascii_lowercase
 
@@ -490,18 +493,6 @@ def resolve_paraphrase_provider(value: object) -> ParaphraseProvider:
     raise ConfigError(f"unknown paraphrase provider: {name!r}")
 
 
-def _leftmost_free_match(
-    haystack: Sequence[str], needle: Sequence[str], taken: set[int]
-) -> int | None:
-    limit = len(haystack) - len(needle)
-    for i in range(limit + 1):
-        if any((i + j) in taken for j in range(len(needle))):
-            continue
-        if all(haystack[i + j] == needle[j] for j in range(len(needle))):
-            return i
-    return None
-
-
 def perturb_paraphrase(
     ex: LabeledExample,
     spec: PerturbationSpec,
@@ -529,7 +520,7 @@ def perturb_paraphrase(
     taken: set[int] = set()
     for span in ex.spans:
         target = [tok.lower() for tok in ex.tokens[span.start : span.end + 1]]
-        pos = _leftmost_free_match(lowered, target, taken)
+        pos = leftmost_match(lowered, target, taken)
         if pos is None:
             note = f"{ex.id}: paraphrase rejected (lost entity {ex.surface(span)!r})"
             return ex, PerturbationReport(eligible_tokens=1, notes=(note,))
@@ -626,15 +617,8 @@ def spec_to_dict(spec: PerturbationSpec) -> dict:
 
 
 def spec_from_dict(data: Mapping) -> PerturbationSpec:
+    kwargs = scalars_from_dict(PerturbationSpec, data, "pool spec")
+    assets = data.get("assets", {})
+    check_keys(assets, ASSET_KEYS, "asset")
     members = tuple(spec_from_dict(m) for m in data.get("members", []))
-    return PerturbationSpec(
-        kind=str(data["kind"]),
-        p=float(data.get("p", 0.1)),
-        seed=int(data.get("seed", 0)),
-        assets=dict(data.get("assets", {})),
-        members=members,
-    )
-
-
-def spec_to_json(spec: PerturbationSpec) -> str:
-    return json.dumps(spec_to_dict(spec), sort_keys=True)
+    return PerturbationSpec(**kwargs, assets=dict(assets), members=members)

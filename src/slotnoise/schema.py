@@ -1,0 +1,58 @@
+"""Config (de)serialization driven by the fields of the frozen dataclasses.
+
+A config object's keys are its field names and its scalar values are coerced
+by their annotated type, so the dataclass is the only statement of the
+schema. Unknown keys, missing required keys and values that fail coercion
+raise ConfigError naming the key.
+"""
+
+from __future__ import annotations
+
+import difflib
+from dataclasses import MISSING, fields
+from typing import Collection, Mapping, get_type_hints
+
+from .errors import ConfigError
+
+_SCALARS = (str, int, float)
+
+
+def check_keys(data: object, valid: Collection[str], where: str) -> None:
+    """Reject a non-mapping or any key outside valid, naming the closest valid key."""
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+    for key in sorted(set(data) - set(valid), key=str):
+        close = difflib.get_close_matches(str(key), sorted(valid), n=1)
+        hint = f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(valid)}"
+        raise ConfigError(f"unknown {where} key {key!r} ({hint})")
+
+
+def fields_to_dict(obj: object, omit: Collection[str] = ()) -> dict:
+    """Field name -> value of a dataclass instance, leaving out omit."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+
+
+def scalars_from_dict(cls: type, data: Mapping, where: str, omit: Collection[str] = ()) -> dict:
+    """Constructor keywords for the scalar fields of cls present in data.
+
+    Every key of data must name a field of cls outside omit, and every field
+    without a default must be present. Fields of a non-scalar type are
+    checked for presence only; the caller builds them.
+    """
+    check_keys(data, [f.name for f in fields(cls) if f.name not in omit], where)
+    hints = get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"missing {where} key {f.name!r}")
+            continue
+        kind = hints[f.name]
+        if kind in _SCALARS:
+            try:
+                kwargs[f.name] = kind(data[f.name])
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"{where} key {f.name!r} must be {kind.__name__}, got {data[f.name]!r}"
+                ) from None
+    return kwargs

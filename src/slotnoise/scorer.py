@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .corpus import LabeledExample
+from .corpus import LabeledExample, leftmost_match
 from .errors import DataError
 from .parser import Prediction, normalize_surface
 
@@ -132,17 +132,6 @@ def prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
-def _leftmost_token_match(tokens: Sequence[str], surface: str) -> tuple[int, int] | None:
-    needle = surface.split()
-    if not needle:
-        return None
-    lowered = [tok.lower() for tok in tokens]
-    for i in range(len(lowered) - len(needle) + 1):
-        if all(lowered[i + j] == needle[j] for j in range(len(needle))):
-            return i, i + len(needle) - 1
-    return None
-
-
 def score_example(
     gold: LabeledExample, pred: Prediction, mode: str = TEXT_MATCH
 ) -> MatchCounts:
@@ -155,13 +144,15 @@ def score_example(
         pred_counter = Counter(predicted)
         tp = sum((gold_counter & pred_counter).values())
     else:
+        lowered = [tok.lower() for tok in gold.tokens]
         unused = list(gold.spans)
         tp = 0
         for surface, label in predicted:
-            located = _leftmost_token_match(gold.tokens, surface)
-            if located is None:
+            needle = surface.split()
+            start = leftmost_match(lowered, needle)
+            if start is None:
                 continue
-            start, end = located
+            end = start + len(needle) - 1
             for i, span in enumerate(unused):
                 if span.start == start and span.end == end and span.slot_type == label:
                     del unused[i]

@@ -4,6 +4,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from slotnoise.cli import main
 from slotnoise.corpus import load_dataset
 
@@ -114,6 +116,17 @@ class TestDemoPreview:
         assert "# u001" in out
         assert '" is ' in out
 
+    def test_preview_pool_uses_custom_lexicon(self, tmp_path, capsys):
+        lexicon = tmp_path / "homophones.txt"
+        lexicon.write_text("play\tpleigh\n", encoding="utf-8")
+        code = run_cli(
+            "demo-preview", "--in", CLEAN, "--clean", CLEAN, "--members", "speech",
+            "--homophones", str(lexicon), "--p", "1.0", "--pool-label", "augment",
+            "--k", "30", "--count", "1",
+        )
+        assert code == 0
+        assert "pleigh" in capsys.readouterr().out
+
 
 class TestEval:
     def test_mock_eval_prints_100(self, tmp_path, capsys):
@@ -128,6 +141,7 @@ class TestEval:
         code = run_cli("eval", "--config", str(config))
         assert code == 2
         assert "t7_absent" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_identical_flags_byte_identical_outputs(self, tmp_path):
         config = eval_config(tmp_path)
@@ -146,6 +160,57 @@ class TestEval:
             (run_dir / name).unlink()
         assert run_cli("eval", "--config", str(config), "--resume") == 0
         assert (run_dir / "responses.jsonl").read_bytes() == responses
+
+
+class TestConfigSchema:
+    @pytest.mark.parametrize(
+        "overrides, key, suggestion",
+        [
+            ({"modle": {"kind": "remote"}}, "modle", "model"),
+            ({"demo_K": 5}, "demo_K", "demo_k"),
+            ({"model": {"kind": "echo_gold", "temprature": 0.7}}, "temprature", "temperature"),
+            ({"pool_specs": [{"kind": "char_typos", "seeed": 1}]}, "seeed", "seed"),
+            ({"pool_specs": [{"kind": "char_typos", "prob": 0.9}]}, "prob", "p"),
+            (
+                {"pool_specs": [{"kind": "word_homophone", "assets": {"homophone_lexcon": "x"}}]},
+                "homophone_lexcon",
+                "homophone_lexicon",
+            ),
+        ],
+    )
+    def test_unknown_key_exits_2_naming_key(self, tmp_path, capsys, overrides, key, suggestion):
+        config = eval_config(tmp_path, **overrides)
+        assert run_cli("eval", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and repr(suggestion) in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("demo_mode", "entities"),
+            ("demo_strategy", "retrieval"),
+            ("demo_pool", "augmented"),
+            ("scoring_mode", "strict"),
+            ("demo_k", "five"),
+        ],
+    )
+    def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, key, value):
+        cache = tmp_path / "cache"
+        config = eval_config(tmp_path, cache_dir=str(cache), **{key: value})
+        assert run_cli("eval", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert key in err and repr(value) in err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    def test_missing_required_key_exits_2(self, tmp_path, capsys):
+        config = eval_config(tmp_path)
+        payload = json.loads(config.read_text(encoding="utf-8"))
+        del payload["test_splits"]
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "'test_splits'" in capsys.readouterr().err
 
 
 class TestSweepAndTemplates:
@@ -168,6 +233,13 @@ class TestSweepAndTemplates:
         assert code == 0
         out = capsys.readouterr().out
         assert "t1_english" in out and "t2_concise" in out
+
+    def test_templates_unknown_id_fails_before_any_run(self, tmp_path, capsys):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
+        code = run_cli("templates", "--config", str(config), "--ids", "t1_english,bogus")
+        assert code == 2
+        assert "bogus" in capsys.readouterr().err
+        assert not list(tmp_path.glob("cmp/tmpl_*"))
 
 
 class TestScoreAndReport:

@@ -14,6 +14,7 @@ from slotnoise.corpus import (
     LabelSet,
     SlotSpan,
     bio_to_spans,
+    leftmost_match,
     load_dataset,
     provenance_from_str,
     provenance_to_str,
@@ -78,6 +79,22 @@ class TestTypes:
         assert provenance_from_str(provenance_to_str(tags)) == tags
         with pytest.raises(DataError):
             provenance_from_str("bogus")
+
+
+class TestLeftmostMatch:
+    def test_finds_leftmost_occurrence(self):
+        assert leftmost_match(["a", "b", "a", "b"], ["a", "b"]) == 0
+
+    def test_skips_taken_positions(self):
+        assert leftmost_match(["a", "b", "a", "b"], ["a", "b"], taken={1}) == 2
+        assert leftmost_match(["a", "b"], ["a", "b"], taken={0}) is None
+
+    def test_empty_needle_matches_nothing(self):
+        assert leftmost_match(["a"], []) is None
+        assert leftmost_match([], []) is None
+
+    def test_needle_longer_than_haystack(self):
+        assert leftmost_match(["a"], ["a", "b"]) is None
 
 
 class TestBio:

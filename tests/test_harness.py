@@ -401,6 +401,17 @@ class TestRunConfig:
         assert config_hash(a) == config_hash(b)
         assert config_hash(a) != config_hash(c)
 
+    @pytest.mark.parametrize("name", ["mock_single.json", "mock_mixed.json"])
+    def test_bundled_config_round_trips(self, name):
+        cfg = RunConfig.from_json(DATA_DIR.parent / "configs" / name)
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_model_labels_are_not_configurable(self, tmp_path):
+        data = base_config(tmp_path).to_dict()
+        data["model"]["labels"] = ["genre"]
+        with pytest.raises(ConfigError, match="unknown model key 'labels'"):
+            RunConfig.from_dict(data)
+
     def test_pool_specs_round_trip_through_json(self, tmp_path):
         from slotnoise.perturb import CHAR_TYPOS, PerturbationSpec
 
