@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Run the bundled desk-scale experiments end to end with mock clients.
 
-Executes the single- and mixed-perturbation configs, a demonstration-count
-sweep, and a template comparison, then prints every report table. Everything
+Executes the single- and mixed-perturbation configs, both again with
+similarity-retrieved demonstrations (instance and entity mode), a
+demonstration-count sweep, and a template comparison, then prints every
+report table. Everything
 is offline and deterministic; rerunning reuses the response caches.
 """
 
@@ -35,6 +37,27 @@ def main() -> None:
     print("== mixed perturbation (noisy_oracle, e=0.3) ==")
     result = run_experiment(mixed)
     print(render_report({mixed.name: result}))
+
+    print("== retrieved instance demonstrations, mixed pool (echo_gold oracle) ==")
+    retrieve_instance = replace(
+        single,
+        name="retrieve_instance",
+        demo_strategy="retrieve",
+        demo_pool="mixed",
+        out_dir=str(ROOT / "runs" / "retrieve_instance"),
+    )
+    result = run_experiment(retrieve_instance)
+    print(render_report({retrieve_instance.name: result}))
+
+    print("== retrieved entity demonstrations (noisy_oracle, e=0.3) ==")
+    retrieve_entity = replace(
+        mixed,
+        name="retrieve_entity",
+        demo_strategy="retrieve",
+        out_dir=str(ROOT / "runs" / "retrieve_entity"),
+    )
+    result = run_experiment(retrieve_entity)
+    print(render_report({retrieve_entity.name: result}))
 
     print("== demonstration-count sweep (noisy_oracle) ==")
     sweep_cfg = replace(

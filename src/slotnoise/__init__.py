@@ -13,6 +13,7 @@ from .corpus import (
 )
 from .demos import (
     DemonstrationSet,
+    PoolIndex,
     build_entity_demos,
     build_instance_demos,
     embed,
@@ -51,6 +52,7 @@ __all__ = [
     "Prediction",
     "PerturbationReport",
     "PerturbationSpec",
+    "PoolIndex",
     "PromptTemplate",
     "ResponseCache",
     "RunConfig",

@@ -4,10 +4,16 @@ The default embedding is a hashed character-trigram term-frequency vector
 (dimension 256, L2-normalized): fully deterministic and offline. A remote
 provider can be plugged in via :func:`http_embedding_provider` when higher
 fidelity retrieval is wanted.
+
+Retrieval ranks against a :class:`PoolIndex`, the candidates of one pool
+embedded once into a matrix. A run builds one index and ranks every query
+against it, so each pool candidate is embedded once per run. Ranking is
+exact top-k by cosine similarity, ties broken by ascending candidate id.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 from dataclasses import dataclass
@@ -21,6 +27,7 @@ from .errors import ClientError, ConfigError, DataError
 from .pools import DataPool
 
 EMBED_DIM = 256
+TIE_SLACK = 1e-9  # batched scores this close to the k-th are re-scored exactly
 
 ENTITY_MODE = "entity"
 INSTANCE_MODE = "instance"
@@ -45,26 +52,6 @@ def _bucket(gram: str) -> int:
     return int.from_bytes(digest, "big") % EMBED_DIM
 
 
-_EMBED_CACHE: dict[str, np.ndarray] = {}
-
-
-def _local_embed(text: str) -> np.ndarray:
-    cached = _EMBED_CACHE.get(text)
-    if cached is not None:
-        return cached
-    vec = np.zeros(EMBED_DIM, dtype=np.float64)
-    for gram in _trigrams(text):
-        vec[_bucket(gram)] += 1.0
-    norm = float(np.linalg.norm(vec))
-    if norm > 0:
-        vec /= norm
-    vec.flags.writeable = False
-    if len(_EMBED_CACHE) > 200_000:
-        _EMBED_CACHE.clear()
-    _EMBED_CACHE[text] = vec
-    return vec
-
-
 def http_embedding_provider(endpoint: str, timeout: float = 30.0) -> EmbeddingProvider:
     """Provider posting {"texts": [...]} and expecting {"vectors": [[...]]}."""
 
@@ -80,13 +67,43 @@ def http_embedding_provider(endpoint: str, timeout: float = 30.0) -> EmbeddingPr
     return _call
 
 
+def _embed_texts(
+    texts: Sequence[str], provider: EmbeddingProvider | None, buckets: dict[str, int]
+) -> np.ndarray:
+    """One L2-normalized row per text (a zero row stays zero).
+
+    A provider gets all texts in one call. The local embedding counts
+    trigram buckets; buckets memoizes the bucket of every trigram seen, so
+    each distinct trigram is hashed once.
+    """
+    if not texts:
+        return np.zeros((0, EMBED_DIM))
+    if provider is None:
+        matrix = np.zeros((len(texts), EMBED_DIM))
+        for row, text in zip(matrix, texts):
+            grams = []
+            for gram in _trigrams(text):
+                bucket = buckets.get(gram)
+                if bucket is None:
+                    bucket = buckets[gram] = _bucket(gram)
+                grams.append(bucket)
+            row[:] = np.bincount(np.asarray(grams, dtype=np.intp), minlength=EMBED_DIM)
+    else:
+        matrix = np.array(provider(list(texts)), dtype=np.float64)
+        if matrix.ndim != 2 or len(matrix) != len(texts):
+            raise ClientError(
+                f"embedding provider returned shape {matrix.shape} for {len(texts)} texts"
+            )
+    for row in matrix:
+        norm = float(np.linalg.norm(row))
+        if norm > 0:
+            row /= norm
+    return matrix
+
+
 def embed(text: str, provider: EmbeddingProvider | None = None) -> np.ndarray:
     """Embed one text; output is L2-normalized (the zero vector stays zero)."""
-    if provider is None:
-        return _local_embed(text)
-    vec = np.asarray(provider([text])[0], dtype=np.float64)
-    norm = float(np.linalg.norm(vec))
-    return vec / norm if norm > 0 else vec
+    return _embed_texts([text], provider, {})[0]
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -97,46 +114,90 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (na * nb))
 
 
-_VECTOR_CACHE: dict[tuple, list[np.ndarray]] = {}
+class PoolIndex:
+    """The candidates of one pool, embedded once for similarity ranking.
 
+    Holds the n x d matrix of candidate vectors (rows normalized by the code
+    behind :func:`embed`), the candidates in pool order, the rows of the
+    candidates bearing each slot label, and the trigram-bucket memo of the
+    local embedding. :meth:`for_label` returns a view sharing all of it that
+    ranks over one label's rows.
+    """
 
-def _candidate_vectors(
-    candidates: Sequence[LabeledExample], provider: EmbeddingProvider | None
-) -> list[np.ndarray]:
-    key = (id(provider) if provider is not None else 0,) + tuple(
-        c.utterance for c in candidates
-    )
-    cached = _VECTOR_CACHE.get(key)
-    if cached is None:
-        cached = [embed(c.utterance, provider) for c in candidates]
-        if len(_VECTOR_CACHE) > 512:
-            _VECTOR_CACHE.clear()
-        _VECTOR_CACHE[key] = cached
-    return cached
+    def __init__(
+        self, candidates: Sequence[LabeledExample], provider: EmbeddingProvider | None = None
+    ):
+        self.candidates = tuple(candidates)
+        self.provider = provider
+        self.rows: np.ndarray | None = None  # None: every candidate
+        self._buckets: dict[str, int] = {}
+        self.matrix = _embed_texts(
+            [c.utterance for c in self.candidates], provider, self._buckets
+        )
+        label_rows: dict[str, list[int]] = {}
+        for i, ex in enumerate(self.candidates):
+            for name in {span.slot_type for span in ex.spans}:
+                label_rows.setdefault(name, []).append(i)
+        self.label_rows = {
+            name: np.asarray(rows, dtype=np.intp) for name, rows in label_rows.items()
+        }
+
+    def __len__(self) -> int:
+        return len(self.candidates) if self.rows is None else len(self.rows)
+
+    def for_label(self, name: str) -> PoolIndex:
+        """A view ranking only the candidates that bear a span of label name."""
+        view = copy.copy(self)
+        view.rows = self.label_rows[name]
+        return view
+
+    def top_k(self, text: str, k: int) -> list[LabeledExample]:
+        """The k candidates most similar to text, as :func:`rank_by_similarity`."""
+        query = _embed_texts([text], self.provider, self._buckets)[0]
+        scores = self.matrix @ query if self.rows is None else self.matrix[self.rows] @ query
+        if k < len(scores):
+            kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+            shortlist = np.flatnonzero(scores >= kth - TIE_SLACK)
+        else:
+            shortlist = np.arange(len(scores))
+        if self.rows is not None:
+            shortlist = self.rows[shortlist]
+        ranked = sorted(
+            (-float(np.dot(query, self.matrix[i])), self.candidates[i].id, i)
+            for i in shortlist.tolist()
+        )
+        return [self.candidates[i] for _, _, i in ranked[:k]]
 
 
 def rank_by_similarity(
     query: LabeledExample,
-    candidates: Sequence[LabeledExample],
+    candidates: Sequence[LabeledExample] | PoolIndex,
     k: int,
     provider: EmbeddingProvider | None = None,
 ) -> list[LabeledExample]:
     """Top-k candidates by cosine similarity to the query utterance.
 
+    candidates is a list of examples, embedded here with provider, or a
+    :class:`PoolIndex`, which ranks with the provider it was built with.
     Ties break by ascending candidate id, so the result is independent of
-    the candidate list order. Similarities are per-candidate dot products
-    (not a batched matmul): BLAS batching reassociates the sums and can flip
-    mathematically-tied candidates by one ulp.
+    the candidate order.
+
+    One matrix-vector product scores every candidate. BLAS batching
+    reassociates the sums, so those scores can differ from per-candidate dot
+    products by an ulp and flip mathematically tied candidates. Every
+    candidate within TIE_SLACK of the k-th best score is therefore re-scored
+    with a per-candidate dot product, and the ranking is taken on those: it
+    equals a full sort of the per-candidate scores.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not candidates:
+    if not len(candidates):
         return []
-    query_vec = embed(query.utterance, provider)
-    vectors = _candidate_vectors(candidates, provider)
-    sims = [float(np.dot(query_vec, vec)) for vec in vectors]
-    order = sorted(range(len(candidates)), key=lambda i: (-sims[i], candidates[i].id))
-    return [candidates[i] for i in order[:k]]
+    if not isinstance(candidates, PoolIndex):
+        candidates = PoolIndex(candidates, provider)
+    elif provider is not None and provider is not candidates.provider:
+        raise ConfigError("an index ranks with the embedding provider it was built with")
+    return candidates.top_k(query.utterance, k)
 
 
 def entity_line(surface: str, label: str) -> str:
@@ -182,6 +243,16 @@ def _render_instance(ex: LabeledExample) -> str:
     return f"Sentence: {ex.utterance}\nEntities: {clauses}\n"
 
 
+def _pool_index(index: PoolIndex | None, pool: DataPool, pool_label: str) -> PoolIndex:
+    """index checked to hold exactly the candidates of pool_label, or a new local one."""
+    examples = pool.select(pool_label).examples
+    if index is None:
+        return PoolIndex(examples)
+    if index.rows is not None or index.candidates != examples:
+        raise ConfigError(f"demonstration index was not built over pool {pool_label!r}")
+    return index
+
+
 def build_entity_demos(
     input_ex: LabeledExample,
     pool: DataPool,
@@ -189,23 +260,27 @@ def build_entity_demos(
     labels: LabelSet,
     strategy: str = RANDOM_STRATEGY,
     seed: int = 0,
-    provider: EmbeddingProvider | None = None,
+    index: PoolIndex | None = None,
 ) -> DemonstrationSet:
     """One ``"entity" is label.`` item per label, in label order.
 
     random picks uniformly over (example, span) pairs of that label;
     retrieve takes the span from the label-bearing example most similar to
-    the input utterance.
+    the input utterance, ranked against index (by default a new index over
+    the pool with the local embedding).
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
-    ds = pool.select(pool_label)
-    by_label: dict[str, list[tuple[LabeledExample, int]]] = {name: [] for name in labels}
-    for ex in ds:
-        for i, span in enumerate(ex.spans):
-            if span.slot_type in by_label:
-                by_label[span.slot_type].append((ex, i))
-    missing = [name for name in labels if not by_label[name]]
+    if strategy == RANDOM_STRATEGY:
+        by_label: dict[str, list[tuple[LabeledExample, int]]] = {}
+        for ex in pool.select(pool_label):
+            for i, span in enumerate(ex.spans):
+                by_label.setdefault(span.slot_type, []).append((ex, i))
+        supported = by_label.keys()
+    else:
+        index = _pool_index(index, pool, pool_label)
+        supported = index.label_rows.keys()
+    missing = [name for name in labels if name not in supported]
     if missing:
         raise DataError(
             f"pool {pool_label!r} has no example for labels: {', '.join(missing)}"
@@ -217,13 +292,7 @@ def build_entity_demos(
             ex, span_idx = by_label[name][rng.randrange(len(by_label[name]))]
             span = ex.spans[span_idx]
         else:
-            bearing: list[LabeledExample] = []
-            seen: set[str] = set()
-            for ex, _ in by_label[name]:
-                if ex.id not in seen:
-                    seen.add(ex.id)
-                    bearing.append(ex)
-            ex = rank_by_similarity(input_ex, bearing, k=1, provider=provider)[0]
+            ex = rank_by_similarity(input_ex, index.for_label(name), k=1)[0]
             span = next(s for s in ex.spans if s.slot_type == name)
         items.append(DemoItem(entity_line(ex.surface(span), name), (ex.id,)))
     return DemonstrationSet(
@@ -242,13 +311,14 @@ def build_instance_demos(
     strategy: str = RANDOM_STRATEGY,
     k: int = 5,
     seed: int = 0,
-    provider: EmbeddingProvider | None = None,
+    index: PoolIndex | None = None,
 ) -> DemonstrationSet:
     """k full examples rendered as Sentence/Entities blocks.
 
     random samples uniformly without replacement; retrieve takes the top-k
-    by similarity. Asking for more examples than the pool holds returns the
-    whole pool with a note.
+    by similarity, ranked against index as in :func:`build_entity_demos`.
+    Asking for more examples than the pool holds returns the whole pool
+    with a note.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
@@ -265,7 +335,7 @@ def build_instance_demos(
         rng = random.Random(seed)
         chosen = [ds.examples[i] for i in rng.sample(range(len(ds)), k)]
     else:
-        chosen = rank_by_similarity(input_ex, ds.examples, k=k, provider=provider)
+        chosen = rank_by_similarity(input_ex, _pool_index(index, pool, pool_label), k=k)
     items = tuple(DemoItem(_render_instance(ex), (ex.id,)) for ex in chosen)
     return DemonstrationSet(
         mode=INSTANCE_MODE,

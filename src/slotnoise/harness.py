@@ -26,7 +26,9 @@ from .demos import (
     ENTITY_MODE,
     INSTANCE_MODE,
     MODES as DEMO_MODES,
+    RETRIEVE_STRATEGY,
     STRATEGIES,
+    PoolIndex,
     build_entity_demos,
     build_instance_demos,
     http_embedding_provider,
@@ -83,6 +85,8 @@ class RunConfig:
             raise ConfigError("config needs at least one test split")
         if self.demo_k < 0:
             raise ConfigError(f"demo_k must be >= 0, got {self.demo_k}")
+        if self.demo_k > 0 and not self.pool_clean:
+            raise ConfigError("demo_k > 0 requires pool_clean in the config")
         for key, allowed in _ENUMS.items():
             if getattr(self, key) not in allowed:
                 raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
@@ -157,17 +161,17 @@ def _build_demos(
     ex: LabeledExample,
     pool: DataPool,
     labels: LabelSet,
-    provider,
+    index: PoolIndex | None,
 ) -> DemonstrationSet | None:
     if cfg.demo_k <= 0:
         return None
     demo_seed = derive_seed(cfg.seed, f"demos:{ex.id}")
     if cfg.demo_mode == ENTITY_MODE:
         return build_entity_demos(
-            ex, pool, cfg.demo_pool, labels, cfg.demo_strategy, demo_seed, provider
+            ex, pool, cfg.demo_pool, labels, cfg.demo_strategy, demo_seed, index
         )
     return build_instance_demos(
-        ex, pool, cfg.demo_pool, cfg.demo_strategy, cfg.demo_k, demo_seed, provider
+        ex, pool, cfg.demo_pool, cfg.demo_strategy, cfg.demo_k, demo_seed, index
     )
 
 
@@ -192,18 +196,19 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
 
     splits = _load_splits(cfg)
     pool: DataPool | None = None
+    index: PoolIndex | None = None
     if cfg.demo_k > 0:
-        if not cfg.pool_clean:
-            raise ConfigError("demo_k > 0 requires pool_clean in the config")
         clean = load_dataset(cfg.pool_clean, split_name="clean")
         pool = build_pool(clean, cfg.pool_specs)
+        if cfg.demo_strategy == RETRIEVE_STRATEGY:
+            provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
+            index = PoolIndex(pool.select(cfg.demo_pool).examples, provider)
     labels = _collect_labels(cfg, splits, pool)
 
     model = cfg.model
     if model.kind == NOISY_ORACLE and not model.labels:
         model = replace(model, labels=tuple(labels.names))
 
-    provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
 
     gold_examples: list[LabeledExample] = []
@@ -214,7 +219,7 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
             rid = f"{group}/{ex.id}"
             gold_examples.append(replace(ex, id=rid))
             try:
-                demos = _build_demos(cfg, ex, pool, labels, provider) if pool else None
+                demos = _build_demos(cfg, ex, pool, labels, index) if pool else None
                 prompt = render_prompt(template, labels, demos, ex)
             except ConfigError:
                 raise

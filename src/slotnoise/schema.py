@@ -3,7 +3,8 @@
 A config object's keys are its field names and its scalar values are coerced
 by their annotated type, so the dataclass is the only statement of the
 schema. Unknown keys, missing required keys and values that fail coercion
-raise ConfigError naming the key.
+(a bool for a number, a fractional number for an int) raise ConfigError
+naming the key.
 """
 
 from __future__ import annotations
@@ -15,6 +16,15 @@ from typing import Collection, Mapping, get_type_hints
 from .errors import ConfigError
 
 _SCALARS = (str, int, float)
+
+
+def _coerce(kind: type, value: object) -> object:
+    """value as kind; a bool is no number, and an int takes no fractional part."""
+    if kind is not str and isinstance(value, bool):
+        raise TypeError
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return kind(value)
 
 
 def check_keys(data: object, valid: Collection[str], where: str) -> None:
@@ -50,7 +60,7 @@ def scalars_from_dict(cls: type, data: Mapping, where: str, omit: Collection[str
         kind = hints[f.name]
         if kind in _SCALARS:
             try:
-                kwargs[f.name] = kind(data[f.name])
+                kwargs[f.name] = _coerce(kind, data[f.name])
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"{where} key {f.name!r} must be {kind.__name__}, got {data[f.name]!r}"

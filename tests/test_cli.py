@@ -193,6 +193,9 @@ class TestConfigSchema:
             ("demo_pool", "augmented"),
             ("scoring_mode", "strict"),
             ("demo_k", "five"),
+            ("demo_k", 5.7),
+            ("seed", True),
+            ("max_error_fraction", True),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, key, value):
@@ -201,6 +204,14 @@ class TestConfigSchema:
         assert run_cli("eval", "--config", str(config)) == 2
         err = capsys.readouterr().err
         assert key in err and repr(value) in err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    def test_demos_without_pool_clean_exits_2_before_any_write(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_clean="")
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "pool_clean" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 

@@ -10,6 +10,7 @@ from slotnoise import perturb
 from slotnoise.corpus import LabelSet
 from slotnoise.demos import (
     EMBED_DIM,
+    PoolIndex,
     _trigrams,
     build_entity_demos,
     build_instance_demos,
@@ -17,7 +18,7 @@ from slotnoise.demos import (
     embed,
     rank_by_similarity,
 )
-from slotnoise.errors import DataError
+from slotnoise.errors import ClientError, ConfigError, DataError
 from slotnoise.perturb import PerturbationSpec
 from slotnoise.pools import build_pool
 
@@ -26,6 +27,16 @@ from conftest import make_dataset, make_example
 
 def small_pool(clean_dataset):
     return build_pool(clean_dataset, [PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.3, seed=1)])
+
+
+class FavouringProvider:
+    """Embeds the query "q" and the winner on one axis, all else on another."""
+
+    def __init__(self, winner: str):
+        self.winner = winner
+
+    def __call__(self, texts):
+        return np.array([[1.0, 0.0] if t in ("q", self.winner) else [0.0, 1.0] for t in texts])
 
 
 class TestEmbedding:
@@ -98,6 +109,79 @@ class TestRanking:
         shuffled = candidates[:]
         rng.shuffle(shuffled)
         assert [c.id for c in rank_by_similarity(query, shuffled, k=10)] == baseline
+
+    def test_exact_ties_take_smallest_ids(self):
+        # Duplicated utterances score identically, so the shortlist around
+        # the k-th score is larger than k and only the ids decide.
+        rng = random.Random(3)
+        tied = [f"t{i:03d}" for i in range(60)]
+        rng.shuffle(tied)
+        others = [f"o{i}" for i in range(20)]
+        candidates = [make_example(["play", "some", "jazz"], ex_id=i) for i in tied]
+        candidates += [make_example(["play", "a", "table"], ex_id=i) for i in others]
+        query = make_example(["play", "some", "jazz"])
+        expected = sorted(tied) + sorted(others)
+        for k in (1, 7, 60, 65):
+            assert [c.id for c in rank_by_similarity(query, candidates, k=k)] == expected[:k]
+
+    def test_provider_identity_reuse_serves_no_stale_vectors(self):
+        # B is created right after A is freed, so CPython gives it A's id().
+        query = make_example(["q"])
+        candidates = [make_example(["x"], ex_id="x"), make_example(["y"], ex_id="y")]
+        provider_a = FavouringProvider("x")
+        assert rank_by_similarity(query, candidates, k=1, provider=provider_a)[0].id == "x"
+        del provider_a
+        provider_b = FavouringProvider("y")
+        assert rank_by_similarity(query, candidates, k=1, provider=provider_b)[0].id == "y"
+
+
+class TestPoolIndex:
+    def test_rows_are_bit_identical_to_embed(self, clean_dataset):
+        candidates = small_pool(clean_dataset).mixed.examples
+        index = PoolIndex(candidates)
+        assert index.matrix.shape == (len(candidates), EMBED_DIM)
+        for row, ex in zip(index.matrix, candidates):
+            assert row.tobytes() == embed(ex.utterance).tobytes()
+
+    def test_label_rows_list_bearing_candidates_in_pool_order(self, clean_dataset):
+        candidates = small_pool(clean_dataset).mixed.examples
+        index = PoolIndex(candidates)
+        for name, rows in index.label_rows.items():
+            bearing = [i for i, ex in enumerate(candidates) if any(s.slot_type == name for s in ex.spans)]
+            assert rows.tolist() == bearing
+            assert len(index.for_label(name)) == len(bearing)
+
+    def test_shared_index_matches_fresh_local_index(self, clean_dataset):
+        pool = small_pool(clean_dataset)
+        index = PoolIndex(pool.mixed.examples)
+        for query in clean_dataset.examples[:8]:
+            assert build_instance_demos(
+                query, pool, "mixed", "retrieve", k=4, index=index
+            ) == build_instance_demos(query, pool, "mixed", "retrieve", k=4)
+            assert build_entity_demos(
+                query, pool, "mixed", clean_dataset.labels, "retrieve", index=index
+            ) == build_entity_demos(query, pool, "mixed", clean_dataset.labels, "retrieve")
+
+    def test_index_over_other_candidates_is_config_error(self, clean_dataset):
+        pool = small_pool(clean_dataset)
+        query = clean_dataset.examples[0]
+        index = PoolIndex(pool.clean.examples)
+        label = clean_dataset.labels.names[0]
+        with pytest.raises(ConfigError, match="mixed"):
+            build_instance_demos(query, pool, "mixed", "retrieve", k=2, index=index)
+        with pytest.raises(ConfigError, match="mixed"):
+            build_entity_demos(query, pool, "mixed", clean_dataset.labels, "retrieve", index=index)
+        with pytest.raises(ConfigError, match="clean"):
+            build_instance_demos(query, pool, "clean", "retrieve", k=2, index=index.for_label(label))
+
+    def test_provider_row_count_is_checked(self):
+        with pytest.raises(ClientError, match="shape"):
+            PoolIndex([make_example(["x"], ex_id="x")], provider=lambda texts: np.ones((2, 4)))
+
+    def test_index_ranks_only_with_its_own_provider(self):
+        index = PoolIndex([make_example(["x"], ex_id="x")])
+        with pytest.raises(ConfigError, match="provider"):
+            rank_by_similarity(make_example(["x"]), index, k=1, provider=lambda texts: np.ones((len(texts), 2)))
 
 
 class TestEntityDemos:

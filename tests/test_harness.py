@@ -4,14 +4,29 @@ import hashlib
 import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from slotnoise import client as client_mod
+from slotnoise import harness as harness_mod
+from slotnoise import perturb
 from slotnoise.client import ModelConfig
-from slotnoise.corpus import Dataset, LabeledExample, LabelSet, SlotSpan, save_dataset
+from slotnoise.corpus import (
+    Dataset,
+    LabeledExample,
+    LabelSet,
+    SlotSpan,
+    load_dataset,
+    save_dataset,
+)
+from slotnoise.demos import embed
 from slotnoise.errors import ConfigError, HarnessError
+from slotnoise.perturb import PerturbationSpec
+from slotnoise.pools import build_pool
 from slotnoise.harness import (
     RunConfig,
     compare_templates,
@@ -146,9 +161,9 @@ class TestRunExperiment:
             run_experiment(cfg)
 
     def test_demos_without_pool_is_config_error(self, tmp_path):
-        cfg = base_config(tmp_path, pool_clean="", demo_k=3)
         with pytest.raises(ConfigError, match="pool_clean"):
-            run_experiment(cfg)
+            run_experiment(base_config(tmp_path, pool_clean="", demo_k=3))
+        assert not (tmp_path / "run").exists()
 
     def test_threaded_completion_matches_sequential(self, tmp_path):
         sequential = run_experiment(base_config(tmp_path, out_dir=str(tmp_path / "seq")))
@@ -187,6 +202,43 @@ class TestRunExperiment:
         failed = scores["Clean/u001"]
         assert failed.tp == 0 and failed.fn > 0
         assert (tmp_path / "run" / "errors.jsonl").exists()
+
+
+class TestRetrieval:
+    @pytest.mark.parametrize("demo_mode", ["instance", "entity"])
+    def test_pool_candidates_embedded_once_per_run(self, tmp_path, monkeypatch, demo_mode):
+        embedded: Counter[str] = Counter()
+
+        def counting_provider(endpoint, timeout=30.0):
+            def provider(texts):
+                embedded.update(texts)
+                return np.stack([embed(text) for text in texts])
+
+            return provider
+
+        monkeypatch.setattr(harness_mod, "http_embedding_provider", counting_provider)
+        clean = load_dataset(DATA_DIR / "clean.jsonl")
+        # One extra token keeps every query utterance out of the pool.
+        queries = [replace(ex, tokens=ex.tokens + ("now",)) for ex in clean]
+        split = tmp_path / "queries.jsonl"
+        save_dataset(Dataset(tuple(queries), clean.labels, "queries"), split)
+        cfg = base_config(
+            tmp_path,
+            test_splits=(("Clean", str(split)),),
+            pool_specs=(PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.3, seed=1),),
+            demo_mode=demo_mode,
+            demo_strategy="retrieve",
+            demo_pool="mixed",
+            embed_endpoint="http://embeddings.test",
+        )
+        result = run_experiment(cfg)
+        assert result.overall.micro_f1 == 100.0
+        assert not (tmp_path / "run" / "errors.jsonl").exists()
+        candidates = Counter(
+            ex.utterance for ex in build_pool(clean, cfg.pool_specs).mixed.examples
+        )
+        assert not candidates.keys() & {ex.utterance for ex in queries}
+        assert {u: embedded[u] for u in candidates} == dict(candidates)
 
 
 class TestNoisyOracleCalibration:
