@@ -10,7 +10,9 @@ Mock kinds make the whole pipeline testable offline:
 - fixed returns a constant string.
 
 Responses are cached on disk keyed by hash(model name, prompt, temperature)
-so interrupted runs resume without re-querying the backend.
+so interrupted runs resume without re-querying the backend. The keys of the
+echo_gold and noisy_oracle mocks also hash the gold spans they answer from,
+so a corrected gold span is answered anew.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import time
 from dataclasses import dataclass
@@ -35,6 +38,7 @@ ECHO_GOLD = "echo_gold"
 FIXED = "fixed"
 NOISY_ORACLE = "noisy_oracle"
 KINDS = (REMOTE, ECHO_GOLD, FIXED, NOISY_ORACLE)
+_GOLD_KINDS = (ECHO_GOLD, NOISY_ORACLE)  # mocks answering from the side channel
 
 API_TOKEN_ENV = "SLOTNOISE_API_TOKEN"
 
@@ -100,8 +104,6 @@ def _complete_noisy(prompt: str, cfg: ModelConfig, ex: LabeledExample) -> str:
 
 
 def _complete_remote(prompt: str, cfg: ModelConfig) -> str:
-    import os
-
     if not cfg.endpoint:
         raise ConfigError("remote client requires an endpoint")
     headers = {"Content-Type": "application/json"}
@@ -168,36 +170,44 @@ class ResponseCache:
 
     path: Path
 
-    def key(self, cfg: ModelConfig, prompt: str) -> str:
-        raw = "\x1f".join((model_key(cfg), prompt, repr(cfg.temperature)))
-        return hashlib.sha256(raw.encode("utf-8")).hexdigest()
+    def key(
+        self, cfg: ModelConfig, prompt: str, side_channel: LabeledExample | None = None
+    ) -> str:
+        parts = [model_key(cfg), prompt, repr(cfg.temperature)]
+        if cfg.kind in _GOLD_KINDS and side_channel is not None:
+            parts.append(_render_gold(side_channel))
+        return hashlib.sha256("\x1f".join(parts).encode("utf-8")).hexdigest()
 
-    def _file(self, key: str) -> Path:
-        return Path(self.path) / f"{key}.json"
+    def _file(self, key: str) -> str:
+        return os.path.join(self.path, f"{key}.json")
 
     def get(self, key: str) -> str | None:
+        """The cached response, or None on a miss.
+
+        An entry that cannot be read, is not UTF-8 JSON or holds no response
+        is logged and treated as a miss.
+        """
         file = self._file(key)
-        if not file.exists():
-            return None
         try:
-            record = json.loads(file.read_text(encoding="utf-8"))
+            with open(file, "rb") as handle:
+                record = json.loads(handle.read())
             return str(record["response"])
-        except (json.JSONDecodeError, KeyError, OSError) as exc:
+        except FileNotFoundError:
+            return None
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             log.warning("corrupt cache entry %s treated as a miss: %s", file, exc)
             return None
 
     def put(self, key: str, cfg: ModelConfig, prompt: str, response: str) -> None:
-        file = self._file(key)
-        file.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self.path, exist_ok=True)
         record = {
             "model": model_key(cfg),
             "temperature": cfg.temperature,
             "prompt_sha": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "response": response,
         }
-        file.write_text(
-            json.dumps(record, ensure_ascii=False, sort_keys=True), encoding="utf-8"
-        )
+        with open(self._file(key), "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
 
 
 def cached_complete(
@@ -206,7 +216,7 @@ def cached_complete(
     cache: ResponseCache,
     side_channel: LabeledExample | None = None,
 ) -> str:
-    key = cache.key(cfg, prompt)
+    key = cache.key(cfg, prompt, side_channel)
     hit = cache.get(key)
     if hit is not None:
         return hit

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
@@ -21,9 +22,25 @@ log = logging.getLogger(__name__)
 CLEAN_PROVENANCE = "clean"
 _PERTURBED_PREFIX = "perturbed:"
 
+QUOTES = "\"'“”‘’`"
+TERMINAL_PUNCT = ".,;:!?"
+_LABEL_SEPARATORS = re.compile(r"[\s_]+")
+
 JSONL_SPANS = "jsonl_spans"
 CONLL_BIO = "conll_bio"
 FORMATS = (JSONL_SPANS, CONLL_BIO)
+
+
+def is_token(text: str) -> bool:
+    """True when text is one non-empty token free of whitespace."""
+    return text.split() == [text]
+
+
+def normalize_label(text: str) -> str:
+    """Canonical label form: unquoted, unpunctuated, lowercased, with runs of
+    spaces and underscores made one underscore."""
+    s = text.strip().strip(QUOTES).rstrip(TERMINAL_PUNCT).strip().lower()
+    return _LABEL_SEPARATORS.sub("_", s)
 
 
 @dataclass(frozen=True)
@@ -32,6 +49,7 @@ class LabelSet:
 
     names: tuple[str, ...]
     _index: frozenset[str] = field(init=False, repr=False, compare=False)
+    _normalized: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -45,6 +63,9 @@ class LabelSet:
                 raise DataError(f"duplicate label name: {name!r}")
             seen.add(name)
         object.__setattr__(self, "_index", frozenset(seen))
+        object.__setattr__(
+            self, "_normalized", {normalize_label(name): name for name in self.names}
+        )
 
     def __iter__(self) -> Iterator[str]:
         return iter(self.names)
@@ -54,6 +75,10 @@ class LabelSet:
 
     def __contains__(self, name: object) -> bool:
         return name in self._index
+
+    def resolve(self, text: str) -> str | None:
+        """The label name text denotes under :func:`normalize_label`, or None."""
+        return self._normalized.get(normalize_label(text))
 
     @classmethod
     def from_observed(cls, examples: Iterable["LabeledExample"]) -> "LabelSet":
@@ -117,7 +142,7 @@ class LabeledExample:
         if not self.tokens:
             raise DataError(f"example {self.id!r}: token list is empty")
         for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
+            if not is_token(tok):
                 raise DataError(f"example {self.id!r}: bad token {tok!r}")
         prev: SlotSpan | None = None
         for span in self.spans:
@@ -131,6 +156,17 @@ class LabeledExample:
                     f"example {self.id!r}: overlapping spans at token {span.start}"
                 )
             prev = span
+
+    def with_id(self, new_id: str) -> LabeledExample:
+        """A copy under new_id; the rest was validated when self was built."""
+        if not new_id:
+            raise DataError("example id must be non-empty")
+        renamed = object.__new__(type(self))
+        # Set in field order, as __init__ does, so the instance dict stays a
+        # compact key-sharing dict.
+        for name, value in self.__dict__.items():
+            object.__setattr__(renamed, name, new_id if name == "id" else value)
+        return renamed
 
     @property
     def utterance(self) -> str:
@@ -368,12 +404,15 @@ def load_dataset(
     return Dataset(tuple(examples), labels, split)
 
 
+def dump_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """Write one JSON record per line, keys sorted, non-ASCII kept as is."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    lines = [encode(record) for record in records]
+    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+
+
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write a dataset as one JSON record per line."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [
-        json.dumps(_example_to_record(ex), ensure_ascii=False, sort_keys=True)
-        for ex in ds.examples
-    ]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    dump_jsonl(path, map(_example_to_record, ds.examples))

@@ -151,9 +151,13 @@ class PoolIndex:
         view.rows = self.label_rows[name]
         return view
 
-    def top_k(self, text: str, k: int) -> list[LabeledExample]:
-        """The k candidates most similar to text, as :func:`rank_by_similarity`."""
-        query = _embed_texts([text], self.provider, self._buckets)[0]
+    def embed(self, text: str) -> np.ndarray:
+        """text embedded as the candidates were, with the index's provider."""
+        return _embed_texts([text], self.provider, self._buckets)[0]
+
+    def top_k(self, query: np.ndarray, k: int) -> list[LabeledExample]:
+        """The k candidates most similar to the embedded query, as
+        :func:`rank_by_similarity`."""
         scores = self.matrix @ query if self.rows is None else self.matrix[self.rows] @ query
         if k < len(scores):
             kth = np.partition(scores, len(scores) - k)[len(scores) - k]
@@ -174,13 +178,16 @@ def rank_by_similarity(
     candidates: Sequence[LabeledExample] | PoolIndex,
     k: int,
     provider: EmbeddingProvider | None = None,
+    query_vector: np.ndarray | None = None,
 ) -> list[LabeledExample]:
     """Top-k candidates by cosine similarity to the query utterance.
 
     candidates is a list of examples, embedded here with provider, or a
     :class:`PoolIndex`, which ranks with the provider it was built with.
-    Ties break by ascending candidate id, so the result is independent of
-    the candidate order.
+    query_vector, when given, is the query utterance as embedded by that
+    index (:meth:`PoolIndex.embed`), so a caller ranking one query against
+    several views embeds it once. Ties break by ascending candidate id, so
+    the result is independent of the candidate order.
 
     One matrix-vector product scores every candidate. BLAS batching
     reassociates the sums, so those scores can differ from per-candidate dot
@@ -197,7 +204,9 @@ def rank_by_similarity(
         candidates = PoolIndex(candidates, provider)
     elif provider is not None and provider is not candidates.provider:
         raise ConfigError("an index ranks with the embedding provider it was built with")
-    return candidates.top_k(query.utterance, k)
+    if query_vector is None:
+        query_vector = candidates.embed(query.utterance)
+    return candidates.top_k(query_vector, k)
 
 
 def entity_line(surface: str, label: str) -> str:
@@ -267,7 +276,8 @@ def build_entity_demos(
     random picks uniformly over (example, span) pairs of that label;
     retrieve takes the span from the label-bearing example most similar to
     the input utterance, ranked against index (by default a new index over
-    the pool with the local embedding).
+    the pool with the local embedding). The input is embedded once for all
+    labels.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
@@ -286,13 +296,15 @@ def build_entity_demos(
             f"pool {pool_label!r} has no example for labels: {', '.join(missing)}"
         )
     rng = random.Random(seed)
+    query = index.embed(input_ex.utterance) if strategy == RETRIEVE_STRATEGY else None
     items: list[DemoItem] = []
     for name in labels:
         if strategy == RANDOM_STRATEGY:
             ex, span_idx = by_label[name][rng.randrange(len(by_label[name]))]
             span = ex.spans[span_idx]
         else:
-            ex = rank_by_similarity(input_ex, index.for_label(name), k=1)[0]
+            view = index.for_label(name)
+            ex = rank_by_similarity(input_ex, view, k=1, query_vector=query)[0]
             span = next(s for s in ex.spans if s.slot_type == name)
         items.append(DemoItem(entity_line(ex.surface(span), name), (ex.id,)))
     return DemonstrationSet(

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .client import ModelConfig, NOISY_ORACLE, ResponseCache, cached_complete
-from .corpus import Dataset, LabeledExample, LabelSet, load_dataset, save_dataset
+from .corpus import Dataset, LabeledExample, LabelSet, dump_jsonl, load_dataset, save_dataset
 from .demos import (
     DemonstrationSet,
     ENTITY_MODE,
@@ -130,11 +130,6 @@ def config_hash(cfg: RunConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-def _dump_jsonl(path: Path, records: Sequence[dict]) -> None:
-    lines = [json.dumps(r, ensure_ascii=False, sort_keys=True) for r in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -217,7 +212,7 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
     for group, ds in splits:
         for ex in ds:
             rid = f"{group}/{ex.id}"
-            gold_examples.append(replace(ex, id=rid))
+            gold_examples.append(ex.with_id(rid))
             try:
                 demos = _build_demos(cfg, ex, pool, labels, index) if pool else None
                 prompt = render_prompt(template, labels, demos, ex)
@@ -270,9 +265,9 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
             }
         )
 
-    _dump_jsonl(out / "prompts.jsonl", prompt_records)
-    _dump_jsonl(out / "responses.jsonl", response_records)
-    _dump_jsonl(out / "predictions.jsonl", prediction_records)
+    dump_jsonl(out / "prompts.jsonl", prompt_records)
+    dump_jsonl(out / "responses.jsonl", response_records)
+    dump_jsonl(out / "predictions.jsonl", prediction_records)
     (out / "groups.tsv").write_text(
         "".join(f"{rid}\t{group}\n" for rid, group in groups.items()), encoding="utf-8"
     )
@@ -280,12 +275,13 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
         Dataset(tuple(gold_examples), labels, "gold"), out / "gold.jsonl"
     )
     if errors:
-        _dump_jsonl(out / "errors.jsonl", errors)
+        dump_jsonl(out / "errors.jsonl", errors)
     else:
         (out / "errors.jsonl").unlink(missing_ok=True)
-    if jobs and len(errors) / len(jobs) > cfg.max_error_fraction:
+    failed = len({error["id"] for error in errors})  # an example may fail in two stages
+    if jobs and failed / len(jobs) > cfg.max_error_fraction:
         raise HarnessError(
-            f"{len(errors)}/{len(jobs)} examples failed "
+            f"{failed}/{len(jobs)} examples failed "
             f"(budget {cfg.max_error_fraction:.0%}); see {out / 'errors.jsonl'}"
         )
 

@@ -17,10 +17,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .corpus import LabelSet
+from .corpus import QUOTES, TERMINAL_PUNCT, LabelSet
+from .corpus import normalize_label  # re-exported: labels are matched by it
 
-_QUOTES = "\"'“”‘’`"
-_TERMINAL_PUNCT = ".,;:!?"
 _WS = re.compile(r"\s+")
 _NUMBERING = re.compile(r"^\s*(?:[-*•]+|\(?\d{1,3}[.)\]:]?)\s+")
 _QUOTED_IS = re.compile(r"[\"“]([^\"“”]+)[\"”]\s+is\s+([^\s\"][^\"]*?)\s*$")
@@ -46,23 +45,13 @@ def normalize_surface(text: str) -> str:
     prev = None
     while s and s != prev:
         prev = s
-        if len(s) >= 2 and s[0] in _QUOTES and s[-1] in _QUOTES:
+        if len(s) >= 2 and s[0] in QUOTES and s[-1] in QUOTES:
             s = s[1:-1].strip()
-        s = s.rstrip(_TERMINAL_PUNCT).strip()
+        s = s.rstrip(TERMINAL_PUNCT).strip()
     return s.lower()
 
 
-def normalize_label(text: str) -> str:
-    s = text.strip().strip(_QUOTES).rstrip(_TERMINAL_PUNCT).strip().lower()
-    return re.sub(r"[\s_]+", "_", s)
-
-
-def _label_lookup(labels: LabelSet) -> dict[str, str]:
-    return {normalize_label(name): name for name in labels}
-
-
 def parse_predictions(text: str, labels: LabelSet) -> Prediction:
-    lookup = _label_lookup(labels)
     pairs: list[tuple[str, str]] = []
     dropped = 0
 
@@ -71,7 +60,7 @@ def parse_predictions(text: str, labels: LabelSet) -> Prediction:
         surface = normalize_surface(surface_text)
         if surface in _SKIP_SURFACES:
             return
-        label = lookup.get(normalize_label(label_text))
+        label = labels.resolve(label_text)
         if label is None:
             dropped += 1
             return
@@ -100,7 +89,7 @@ def parse_predictions(text: str, labels: LabelSet) -> Prediction:
         if consumed:
             continue
         listing = _LABEL_LIST.match(line)
-        if listing is not None and normalize_label(listing.group(1)) in lookup:
+        if listing is not None and labels.resolve(listing.group(1)) is not None:
             for part in listing.group(2).split(","):
                 _emit(part, listing.group(1))
             continue

@@ -23,7 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 import requests
 
-from .corpus import Dataset, LabeledExample, SlotSpan, leftmost_match
+from .corpus import Dataset, LabeledExample, SlotSpan, is_token, leftmost_match
 from .errors import ClientError, ConfigError
 from .schema import check_keys, scalars_from_dict
 
@@ -188,9 +188,7 @@ def _read_lexicon(path_str: str) -> dict[str, tuple[str, ...]]:
             continue
         word, _, alts = line.partition("\t")
         options = tuple(
-            alt.strip()
-            for alt in alts.split(",")
-            if alt.strip() and not any(ch.isspace() for ch in alt.strip())
+            alt.strip() for alt in alts.split(",") if is_token(alt.strip())
         )
         if word and options:
             lexicon[word.lower()] = options

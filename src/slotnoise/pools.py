@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -67,9 +67,7 @@ def build_pool(clean: Dataset, specs: Sequence[PerturbationSpec]) -> DataPool:
         ordinal = seen_tokens.get(token, 0)
         seen_tokens[token] = ordinal + 1
         suffix = augment_suffix(spec, ordinal)
-        copies.extend(
-            replace(ex, id=f"{ex.id}__{suffix}") for ex in perturbed
-        )
+        copies.extend(ex.with_id(f"{ex.id}__{suffix}") for ex in perturbed)
     augmented = Dataset(tuple(copies), clean.labels, "augment")
     return DataPool(clean=clean, augmented=augmented)
 

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
 
 from slotnoise import client as client_mod
-from slotnoise.client import ModelConfig, ResponseCache, cached_complete, complete
+from slotnoise.client import ModelConfig, ResponseCache, cached_complete, complete, model_key
 from slotnoise.errors import ClientError, ConfigError
 
 from conftest import make_example
@@ -100,6 +101,52 @@ class TestCache:
             ModelConfig(kind="remote", model="m1", endpoint="http://x", temperature=0.7), "p"
         )
         assert len({a, b, c}) == 3
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [ModelConfig(kind="remote", model="m1", endpoint="http://x", temperature=0.7),
+         ModelConfig(kind="fixed", fixed_text="val")],
+    )
+    def test_remote_and_fixed_keys_ignore_the_side_channel(self, tmp_path, cfg):
+        cache = ResponseCache(tmp_path / "cache")
+        raw = "\x1f".join((model_key(cfg), "p", repr(cfg.temperature)))
+        expected = hashlib.sha256(raw.encode("utf-8")).hexdigest()
+        assert cache.key(cfg, "p") == cache.key(cfg, "p", GOLD) == expected
+
+    @pytest.mark.parametrize(
+        "cfg", [ModelConfig(kind="echo_gold"), ModelConfig(kind="noisy_oracle", error_rate=0.3)]
+    )
+    def test_gold_mock_keys_follow_the_gold_spans(self, tmp_path, cfg):
+        cache = ResponseCache(tmp_path / "cache")
+        relabeled = make_example(["play", "jazz", "on", "spotify"], [(1, 1, "artist"), (3, 3, "service")])
+        assert cache.key(cfg, "p", GOLD) == cache.key(cfg, "p", GOLD)
+        assert cache.key(cfg, "p", GOLD) != cache.key(cfg, "p", relabeled)
+
+    def test_missing_entry_is_a_silent_miss(self, tmp_path, caplog):
+        cache = ResponseCache(tmp_path / "cache")
+        with caplog.at_level("WARNING"):
+            assert cache.get("0" * 64) is None
+        assert not caplog.text
+
+    @pytest.mark.parametrize("damage", ["truncate", "directory", "not_utf8", "not_an_object"])
+    def test_unreadable_entry_is_a_logged_miss(self, tmp_path, caplog, damage):
+        cache = ResponseCache(tmp_path / "cache")
+        cfg = ModelConfig(kind="fixed", fixed_text="val")
+        key = cache.key(cfg, "p")
+        cached_complete("p", cfg, cache)
+        cache_file = tmp_path / "cache" / f"{key}.json"
+        if damage == "truncate":
+            cache_file.write_bytes(cache_file.read_bytes()[:10])
+        elif damage == "directory":
+            cache_file.unlink()
+            cache_file.mkdir()
+        elif damage == "not_utf8":
+            cache_file.write_bytes(b'{"response": "\xff"}')
+        else:
+            cache_file.write_text('["response"]', encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert cache.get(key) is None
+        assert "miss" in caplog.text
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path, caplog):
         cache = ResponseCache(tmp_path / "cache")

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from slotnoise.corpus import (
     LabelSet,
     SlotSpan,
     bio_to_spans,
+    is_token,
     leftmost_match,
     load_dataset,
     provenance_from_str,
@@ -53,6 +56,32 @@ class TestTypes:
             make_example(["a b"])
         with pytest.raises(DataError):
             make_example([""])
+
+    @pytest.mark.parametrize(
+        "tok", ["", " ", "\u00a0", "\u2003", "\x1c", "\u3000", "a\tb", "a\nb", "a", "é", "\u200b", "x\u00a0"]
+    )
+    def test_token_rule_matches_isspace_rule(self, tok):
+        valid = bool(tok) and not any(ch.isspace() for ch in tok)
+        assert is_token(tok) == valid
+        if valid:
+            assert make_example([tok]).tokens == (tok,)
+        else:
+            with pytest.raises(DataError, match="bad token"):
+                make_example(["ok", tok])
+
+    def test_token_rule_agrees_on_every_code_point(self):
+        for ch in map(chr, range(sys.maxunicode + 1)):
+            assert is_token(ch) != ch.isspace(), hex(ord(ch))
+            assert is_token(f"a{ch}b") != ch.isspace(), hex(ord(ch))
+
+    def test_with_id_equals_replace_and_keeps_the_original(self):
+        ex = make_example(["play", "jazz"], [(1, 1, "genre")], ex_id="u1", provenance=("char_typos",))
+        renamed = ex.with_id("Clean/u1")
+        assert renamed == dataclasses.replace(ex, id="Clean/u1")
+        assert hash(renamed) == hash(dataclasses.replace(ex, id="Clean/u1"))
+        assert type(renamed) is LabeledExample and ex.id == "u1"
+        with pytest.raises(DataError, match="id"):
+            ex.with_id("")
 
     def test_example_rejects_out_of_range_span(self):
         with pytest.raises(DataError):

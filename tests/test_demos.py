@@ -7,7 +7,7 @@ import pytest
 
 from oracles import full_sort_ranking
 from slotnoise import perturb
-from slotnoise.corpus import LabelSet
+from slotnoise.corpus import LabelSet, load_dataset
 from slotnoise.demos import (
     EMBED_DIM,
     PoolIndex,
@@ -226,6 +226,28 @@ class TestEntityDemos:
                 bearing, key=lambda ex: (-float(np.dot(qv, embed(ex.utterance))), ex.id)
             )
             assert item.source_ids == (scored[0].id,)
+
+    def test_retrieve_embeds_each_query_once(self, clean_dataset, data_dir):
+        requests = []
+
+        def counting_provider(texts):
+            requests.append(list(texts))
+            return np.stack([embed(text) for text in texts])
+
+        pool = build_pool(clean_dataset, [])
+        index = PoolIndex(pool.clean.examples, counting_provider)
+        queries = load_dataset(data_dir / "typos.jsonl").examples
+        labels = clean_dataset.labels
+        demos = [
+            build_entity_demos(query, pool, "clean", labels, "retrieve", index=index)
+            for query in queries
+        ]
+        assert len(labels) > 1
+        assert len(requests) == 1 + len(queries)
+        assert requests[1:] == [[query.utterance] for query in queries]
+        assert demos == [
+            build_entity_demos(query, pool, "clean", labels, "retrieve") for query in queries
+        ]
 
     def test_random_is_pure_function_of_seed(self, clean_dataset):
         pool = small_pool(clean_dataset)

@@ -204,6 +204,74 @@ class TestRunExperiment:
         assert (tmp_path / "run" / "errors.jsonl").exists()
 
 
+    # 2 of 30 examples within the 10% budget, 4 of 30 beyond it. Each failing
+    # example fails its prompt stage and its completion: two error records.
+    @pytest.mark.parametrize("n_failing, over_budget", [(2, False), (4, True)])
+    def test_error_budget_counts_examples_not_stages(
+        self, tmp_path, monkeypatch, n_failing, over_budget
+    ):
+        failing = {f"u{i:03d}" for i in range(1, n_failing + 1)}
+        real_demos, real_complete = harness_mod._build_demos, client_mod.complete
+
+        def broken_demos(cfg_, ex, *args):
+            if ex.id in failing:
+                raise RuntimeError("no demonstrations")
+            return real_demos(cfg_, ex, *args)
+
+        def broken_complete(prompt, cfg_, side_channel=None):
+            if side_channel.id in failing:
+                raise RuntimeError("backend down")
+            return real_complete(prompt, cfg_, side_channel)
+
+        monkeypatch.setattr(harness_mod, "_build_demos", broken_demos)
+        monkeypatch.setattr(client_mod, "complete", broken_complete)
+        cfg = base_config(tmp_path, test_splits=(("Clean", str(DATA_DIR / "clean.jsonl")),))
+        assert cfg.max_error_fraction == 0.1
+        if over_budget:
+            with pytest.raises(HarnessError, match=f"{n_failing}/30 examples failed"):
+                run_experiment(cfg)
+        else:
+            run_experiment(cfg)
+        errors = (tmp_path / "run" / "errors.jsonl").read_text(encoding="utf-8")
+        records = [json.loads(line) for line in errors.splitlines()]
+        assert sorted((r["id"], r["stage"]) for r in records) == sorted(
+            (f"Clean/{i}", stage) for i in failing for stage in ("prompt", "complete")
+        )
+
+    @pytest.mark.parametrize(
+        "model", [ModelConfig(kind="echo_gold"), ModelConfig(kind="noisy_oracle", error_rate=0.0)]
+    )
+    def test_gold_fix_is_answered_anew_in_the_same_out_dir(self, tmp_path, model):
+        clean = load_dataset(DATA_DIR / "clean.jsonl")
+        labels = tmp_path / "labels.txt"  # fixed label list: the prompts cannot change
+        labels.write_text("\n".join(clean.labels) + "\n", encoding="utf-8")
+        split = tmp_path / "clean.jsonl"
+        save_dataset(clean, split)
+        cfg = base_config(
+            tmp_path,
+            test_splits=(("Clean", str(split)),),
+            labels_path=str(labels),
+            model=model,
+            demo_k=0,
+        )
+        run_experiment(cfg)
+        ex = next(e for e in clean if e.spans)
+        old = ex.spans[0]
+        new_type = next(name for name in clean.labels if name != old.slot_type)
+        fixed = replace(ex, spans=(replace(old, slot_type=new_type),) + ex.spans[1:])
+        save_dataset(
+            Dataset(tuple(fixed if e.id == ex.id else e for e in clean), clean.labels, "clean"),
+            split,
+        )
+        prompts = (tmp_path / "run" / "prompts.jsonl").read_bytes()
+        result = run_experiment(cfg)
+        assert (tmp_path / "run" / "prompts.jsonl").read_bytes() == prompts
+        assert result.overall.micro_f1 == 100.0
+        lines = (tmp_path / "run" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
+        responses = {r["id"]: r["response"] for r in map(json.loads, lines)}
+        assert f'"{ex.surface(old)}" is {new_type}.' in responses[f"Clean/{ex.id}"]
+
+
 class TestRetrieval:
     @pytest.mark.parametrize("demo_mode", ["instance", "entity"])
     def test_pool_candidates_embedded_once_per_run(self, tmp_path, monkeypatch, demo_mode):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -114,6 +115,18 @@ class TestHomophone:
         s = spec(perturb.WORD_HOMOPHONE, p=0.5, homophone_lexicon="/nonexistent/lexicon.txt")
         with pytest.raises(ConfigError, match="lexicon"):
             perturb_word_homophone(make_example(["two"]), s)
+
+    def test_lexicon_file_keeps_only_single_token_alternatives(self, tmp_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text(
+            "two\ttoo, t o,\u00a0to\u00a0,tu\u3000u,t\u2003w, ,tew\n", encoding="utf-8"
+        )
+        s = spec(perturb.WORD_HOMOPHONE, p=1.0, homophone_lexicon=str(lexicon))
+        seen = set()
+        for seed in range(40):
+            out, _ = perturb_word_homophone(make_example(["two"]), replace(s, seed=seed))
+            seen.add(out.tokens[0])
+        assert seen == {"too", "to", "tew"}
 
     def test_binomial_concentration(self):
         # 10,000 eligible tokens at p=0.3 must land inside the 3-sigma band.

@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import hashlib
+from dataclasses import replace
+
 import pytest
 
 from slotnoise import perturb
+from slotnoise.corpus import save_dataset
 from slotnoise.errors import ConfigError
-from slotnoise.perturb import PerturbationSpec, compose
+from slotnoise.perturb import PerturbationSpec, compose, perturb_dataset, with_insert_vocab
 from slotnoise.pools import build_pool, load_pool, load_pool_manifest, save_pool
 
 
@@ -63,6 +67,33 @@ def test_duplicate_kinds_stay_unique(clean_dataset):
     pool = build_pool(clean_dataset, twice)
     ids = [ex.id for ex in pool.augmented]
     assert len(ids) == len(set(ids)) == 2 * len(clean_dataset)
+
+
+def test_augmented_examples_equal_revalidated_copies(clean_dataset, tmp_path):
+    """Renamed copies equal copies rebuilt through the validating constructor."""
+    specs = [
+        PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.3, seed=1),
+        PerturbationSpec(kind=perturb.WORD_HOMOPHONE, p=0.5, seed=2),
+        PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.8, seed=3),
+        compose(
+            [PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.2, seed=4),
+             PerturbationSpec(kind=perturb.APPEND_IRR, p=1.0, seed=5)]
+        ),
+        PerturbationSpec(kind=perturb.WORD_INSERT, p=0.3, seed=6),
+    ]
+    suffixes = ["char_typos", "word_homophone", "char_typos#2", "append_irr+char_typos", "word_insert"]
+    pool = build_pool(clean_dataset, specs)
+    expected = []
+    for spec, suffix in zip(specs, suffixes):
+        perturbed, _ = perturb_dataset(clean_dataset, with_insert_vocab(spec, clean_dataset))
+        expected.extend(replace(ex, id=f"{ex.id}__{suffix}") for ex in perturbed)
+    assert len(pool.augmented) == len(expected)
+    for got, want in zip(pool.augmented, expected):
+        assert got == want and type(got) is type(want)
+    # Pinned digest of the written augmented set: pool bytes must not drift.
+    save_dataset(pool.augmented, tmp_path / "augmented.jsonl")
+    digest = hashlib.sha256((tmp_path / "augmented.jsonl").read_bytes()).hexdigest()
+    assert digest == "375385d84592dbb9dec39347da3890473cc7ed79656bc31a0e92723987f0c1d9"
 
 
 def test_pool_construction_deterministic(clean_dataset):
