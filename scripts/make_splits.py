@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled desk-scale test splits under data/.
+"""Regenerate the bundled desk-scale test splits into OUT_DIR (default data/).
 
 The clean split is a 30-utterance slot-filling corpus over music, weather,
 and restaurant queries. Machine-generated splits (typos, speech, append_irr,
@@ -11,6 +11,7 @@ construction, standing in for pre-perturbed test data.
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -150,10 +151,10 @@ def rewrite_paraphrase(ex: LabeledExample) -> LabeledExample:
     )
 
 
-def main() -> None:
-    DATA_DIR.mkdir(parents=True, exist_ok=True)
+def main(out_dir: Path = DATA_DIR) -> None:
+    out_dir.mkdir(parents=True, exist_ok=True)
     clean = build_clean()
-    save_dataset(clean, DATA_DIR / "clean.jsonl")
+    save_dataset(clean, out_dir / "clean.jsonl")
 
     generated = {
         "typos": TYPOS_SPEC,
@@ -167,7 +168,7 @@ def main() -> None:
     manifest: dict = {"generated": {}, "rewritten": ["paraphrase", "simplification", "verbose"]}
     for name, spec in generated.items():
         perturbed, report = perturb_dataset(clean, spec)
-        save_dataset(Dataset(perturbed.examples, perturbed.labels, name), DATA_DIR / f"{name}.jsonl")
+        save_dataset(Dataset(perturbed.examples, perturbed.labels, name), out_dir / f"{name}.jsonl")
         manifest["generated"][name] = spec_to_dict(spec)
         print(f"{name}: {report.summary()}")
 
@@ -177,14 +178,16 @@ def main() -> None:
         "paraphrase": [rewrite_paraphrase(ex) for ex in clean],
     }
     for name, examples in rewritten.items():
-        save_dataset(Dataset(tuple(examples), clean.labels, name), DATA_DIR / f"{name}.jsonl")
+        save_dataset(Dataset(tuple(examples), clean.labels, name), out_dir / f"{name}.jsonl")
         print(f"{name}: rewrote {len(examples)} examples")
 
-    (DATA_DIR / "manifest.json").write_text(
+    (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"splits written to {DATA_DIR}")
+    print(f"splits written to {out_dir}")
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", nargs="?", type=Path, default=DATA_DIR)
+    main(parser.parse_args().out_dir)

@@ -18,15 +18,16 @@ so a corrected gold span is answered anew.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import logging
 import os
 import random
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
-
-import requests
 
 from .corpus import LabeledExample
 from .errors import ClientError, ConfigError
@@ -44,6 +45,10 @@ API_TOKEN_ENV = "SLOTNOISE_API_TOKEN"
 
 _MAX_ATTEMPTS = 5
 _BACKOFF_BASE = 0.5
+_RETRY_AFTER_CAP = 60.0
+# Transport failures worth another attempt; a refused connection, a DNS or
+# TLS failure or a garbled response is not, since retrying cannot fix it.
+_TRANSIENT = (TimeoutError, ConnectionResetError)
 
 
 @dataclass(frozen=True)
@@ -103,50 +108,96 @@ def _complete_noisy(prompt: str, cfg: ModelConfig, ex: LabeledExample) -> str:
     return "\n".join(lines) if lines else "none"
 
 
+def _retry_delay(attempt: int, retry_after: str | None) -> float:
+    """Seconds to wait before retry number attempt + 1.
+
+    A delta-seconds Retry-After (RFC 9110 section 10.2.3) is honoured up to
+    _RETRY_AFTER_CAP; otherwise full jitter: uniform in [0, base * 2**attempt].
+    The jitter comes from a fresh generator so it never draws from, or
+    reseeds, the run's seeded streams.
+    """
+    value = (retry_after or "").strip()
+    if value.isascii() and value.isdigit():
+        return min(float(value), _RETRY_AFTER_CAP)
+    return random.Random().uniform(0.0, _BACKOFF_BASE * 2**attempt)
+
+
+def _post_json(
+    url: str, payload: object, timeout: float, headers: dict[str, str] | None = None
+) -> dict:
+    """POST payload as JSON and return the JSON object of the 200 response.
+
+    Timeouts, connection resets, 429 and 5xx are retried, up to _MAX_ATTEMPTS
+    attempts in all; any other failure raises at once. Every failure is a
+    ClientError carrying the HTTP status when a response was received.
+    Proxy environment variables and TLS verification are urllib's defaults.
+    """
+    try:
+        data = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(
+            url, data=data, headers={"Content-Type": "application/json", **(headers or {})}
+        )
+    except ValueError as exc:  # a NaN in the payload, or a URL without a scheme
+        raise ClientError(f"request to {url} cannot be sent: {exc}") from exc
+    for attempt in range(_MAX_ATTEMPTS):
+        retry_after = None
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, body = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            status, retry_after = exc.code, exc.headers.get("Retry-After")
+            exc.close()
+            if status != 429 and status < 500:
+                raise ClientError(
+                    f"request to {url} rejected with status {status}", status=status
+                ) from exc
+            last = f"last status {status}"
+        except (OSError, http.client.HTTPException) as exc:
+            # urllib wraps failures while sending in URLError; those while
+            # reading the response arrive bare.
+            reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
+            if not isinstance(reason, _TRANSIENT):
+                raise ClientError(f"request to {url} failed: {reason}") from exc
+            status = None
+            last = "timed out" if isinstance(reason, TimeoutError) else f"{reason!r}"
+        else:
+            if status != 200:
+                raise ClientError(
+                    f"request to {url} rejected with status {status}", status=status
+                )
+            try:
+                result = json.loads(body)
+            except ValueError as exc:
+                raise ClientError(f"malformed response from {url}: {exc}", status=200) from exc
+            if not isinstance(result, dict):
+                raise ClientError(
+                    f"malformed response from {url}: not a JSON object", status=200
+                )
+            return result
+        if attempt < _MAX_ATTEMPTS - 1:
+            time.sleep(_retry_delay(attempt, retry_after))
+    raise ClientError(
+        f"request to {url} failed after {_MAX_ATTEMPTS} attempts ({last})", status=status
+    )
+
+
 def _complete_remote(prompt: str, cfg: ModelConfig) -> str:
     if not cfg.endpoint:
         raise ConfigError("remote client requires an endpoint")
-    headers = {"Content-Type": "application/json"}
     token = os.environ.get(API_TOKEN_ENV, "")
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
+    headers = {"Authorization": f"Bearer {token}"} if token else None
     payload = {
         "model": cfg.model,
         "messages": [{"role": "user", "content": prompt}],
         "temperature": cfg.temperature,
     }
-    last_status: int | None = None
-    for attempt in range(_MAX_ATTEMPTS):
-        try:
-            resp = requests.post(
-                cfg.endpoint, headers=headers, json=payload, timeout=cfg.timeout
-            )
-        except requests.Timeout as exc:
-            raise ClientError(f"request to {cfg.endpoint} timed out") from exc
-        except requests.RequestException as exc:
-            raise ClientError(f"request to {cfg.endpoint} failed: {exc}") from exc
-        if resp.status_code == 200:
-            try:
-                return str(resp.json()["choices"][0]["message"]["content"])
-            except (KeyError, IndexError, TypeError, ValueError) as exc:
-                raise ClientError(
-                    f"malformed response from {cfg.endpoint}: {exc}", status=200
-                ) from exc
-        last_status = resp.status_code
-        if resp.status_code == 429 or resp.status_code >= 500:
-            if attempt < _MAX_ATTEMPTS - 1:
-                time.sleep(_BACKOFF_BASE * (2**attempt))
-                continue
-            break
+    body = _post_json(cfg.endpoint, payload, cfg.timeout, headers)
+    try:
+        return str(body["choices"][0]["message"]["content"])
+    except (KeyError, IndexError, TypeError) as exc:
         raise ClientError(
-            f"request to {cfg.endpoint} rejected with status {resp.status_code}",
-            status=resp.status_code,
-        )
-    raise ClientError(
-        f"request to {cfg.endpoint} failed after {_MAX_ATTEMPTS} attempts "
-        f"(last status {last_status})",
-        status=last_status,
-    )
+            f"malformed response from {cfg.endpoint}: {exc!r}", status=200
+        ) from exc
 
 
 def complete(

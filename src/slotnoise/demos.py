@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-import requests
 
+from .client import _post_json
 from .corpus import LabeledExample, LabelSet
 from .errors import ClientError, ConfigError, DataError
 from .pools import DataPool
@@ -56,13 +56,13 @@ def http_embedding_provider(endpoint: str, timeout: float = 30.0) -> EmbeddingPr
     """Provider posting {"texts": [...]} and expecting {"vectors": [[...]]}."""
 
     def _call(texts: Sequence[str]) -> np.ndarray:
+        body = _post_json(endpoint, {"texts": list(texts)}, timeout)
         try:
-            resp = requests.post(endpoint, json={"texts": list(texts)}, timeout=timeout)
-        except requests.RequestException as exc:
-            raise ClientError(f"embedding provider unreachable: {endpoint}: {exc}") from exc
-        if resp.status_code != 200:
-            raise ClientError(f"embedding provider error from {endpoint}", status=resp.status_code)
-        return np.asarray(resp.json()["vectors"], dtype=np.float64)
+            return np.asarray(body["vectors"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ClientError(
+                f"malformed response from {endpoint}: {exc!r}", status=200
+            ) from exc
 
     return _call
 

@@ -21,8 +21,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-import requests
-
+from .client import _post_json
 from .corpus import Dataset, LabeledExample, SlotSpan, is_token, leftmost_match
 from .errors import ClientError, ConfigError
 from .schema import check_keys, scalars_from_dict
@@ -467,15 +466,10 @@ def http_paraphrase_provider(endpoint: str, timeout: float = 30.0) -> Paraphrase
     """Provider posting {"text": ...} to an HTTP endpoint returning the same shape."""
 
     def _call(text: str) -> str:
-        try:
-            resp = requests.post(endpoint, json={"text": text}, timeout=timeout)
-        except requests.RequestException as exc:
-            raise ClientError(f"paraphrase provider unreachable: {endpoint}: {exc}") from exc
-        if resp.status_code != 200:
-            raise ClientError(
-                f"paraphrase provider error from {endpoint}", status=resp.status_code
-            )
-        return str(resp.json()["text"])
+        paraphrase = _post_json(endpoint, {"text": text}, timeout).get("text")
+        if not isinstance(paraphrase, str):
+            raise ClientError(f"malformed response from {endpoint}: no text", status=200)
+        return paraphrase
 
     return _call
 

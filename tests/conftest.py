@@ -7,6 +7,8 @@ import pytest
 
 from slotnoise.corpus import Dataset, LabeledExample, LabelSet, SlotSpan
 
+from httpfake import ScriptedServer
+
 ROOT = Path(__file__).resolve().parents[1]
 DATA_DIR = ROOT / "data"
 
@@ -80,3 +82,11 @@ def clean_dataset() -> Dataset:
 @pytest.fixture(scope="session")
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture
+def http_server(monkeypatch) -> ScriptedServer:
+    """A scripted server on 127.0.0.1; a proxy set in the environment is bypassed."""
+    monkeypatch.setenv("no_proxy", "127.0.0.1")
+    with ScriptedServer() as server:
+        yield server

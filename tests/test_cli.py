@@ -10,6 +10,7 @@ from slotnoise.cli import main
 from slotnoise.corpus import load_dataset
 
 from conftest import DATA_DIR, SINGLE_SPLITS
+from httpfake import Reply
 
 CLEAN = str(DATA_DIR / "clean.jsonl")
 
@@ -160,6 +161,19 @@ class TestEval:
             (run_dir / name).unlink()
         assert run_cli("eval", "--config", str(config), "--resume") == 0
         assert (run_dir / "responses.jsonl").read_bytes() == responses
+
+    @pytest.mark.parametrize("provider", ["embedding", "paraphrase"])
+    @pytest.mark.parametrize("body", [b"not json", {"other": 1}, [1, 2]], ids=["text", "keys", "list"])
+    def test_malformed_provider_reply_exits_1(self, tmp_path, capsys, http_server, provider, body):
+        http_server.script(Reply(200, body))
+        if provider == "embedding":
+            overrides = {"demo_strategy": "retrieve", "embed_endpoint": http_server.url}
+        else:
+            spec = {"kind": "paraphrase", "p": 1.0, "assets": {"paraphrase_provider": http_server.url}}
+            overrides = {"pool_specs": [spec], "demo_pool": "augment"}
+        assert run_cli("eval", "--config", str(eval_config(tmp_path, **overrides))) == 1
+        assert "malformed response" in capsys.readouterr().err
+        assert len(http_server.seen) == 1
 
 
 class TestConfigSchema:

@@ -2,14 +2,20 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
+import socket
 
+import numpy as np
 import pytest
 
 from slotnoise import client as client_mod
 from slotnoise.client import ModelConfig, ResponseCache, cached_complete, complete, model_key
+from slotnoise.demos import http_embedding_provider
 from slotnoise.errors import ClientError, ConfigError
+from slotnoise.perturb import http_paraphrase_provider
 
 from conftest import make_example
+from httpfake import Reply, Reset, chat_reply
 
 GOLD = make_example(["play", "jazz", "on", "spotify"], [(1, 1, "genre"), (3, 3, "service")])
 LABELS = ("genre", "service", "artist", "city")
@@ -162,82 +168,196 @@ class TestCache:
         assert json.loads(cache_file.read_text(encoding="utf-8"))["response"] == "val"
 
 
-class _FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload or {}
-
-    def json(self):
-        return self._payload
-
-
 class TestRemote:
-    def _cfg(self):
-        return ModelConfig(kind="remote", model="m", endpoint="https://api.test/v1/chat")
+    def _cfg(self, server, **kw):
+        return ModelConfig(kind="remote", model="m", endpoint=server.url, **kw)
 
-    def test_success_extracts_first_choice(self, monkeypatch):
-        def fake_post(url, headers=None, json=None, timeout=None):
-            assert json["model"] == "m"
-            assert json["messages"] == [{"role": "user", "content": "hello"}]
-            return _FakeResponse(200, {"choices": [{"message": {"content": "world"}}]})
+    def test_success_extracts_first_choice(self, http_server):
+        http_server.script(chat_reply("world"))
+        assert complete("hello", self._cfg(http_server)) == "world"
+        (seen,) = http_server.seen
+        assert seen.json()["model"] == "m"
+        assert seen.json()["messages"] == [{"role": "user", "content": "hello"}]
 
-        monkeypatch.setattr(client_mod.requests, "post", fake_post)
-        assert complete("hello", self._cfg()) == "world"
+    def test_payload_bytes_are_the_compact_json_of_the_request(self, http_server):
+        http_server.script(chat_reply("x"))
+        complete("héllo", self._cfg(http_server, temperature=0.7))
+        (seen,) = http_server.seen
+        payload = {
+            "model": "m",
+            "messages": [{"role": "user", "content": "héllo"}],
+            "temperature": 0.7,
+        }
+        assert seen.body == json.dumps(payload).encode("ascii")
+        assert seen.headers["Content-Type"] == "application/json"
 
-    def test_retries_on_429_then_succeeds(self, monkeypatch):
+    def test_retries_on_429_then_succeeds(self, http_server, monkeypatch):
         attempts = []
         monkeypatch.setattr(client_mod.time, "sleep", lambda s: attempts.append(("sleep", s)))
+        http_server.script(Reply(429), Reply(429), chat_reply("ok"))
+        assert complete("p", self._cfg(http_server)) == "ok"
+        assert len(http_server.seen) == 3
+        assert [kind for kind, _ in attempts] == ["sleep", "sleep"]
 
-        def fake_post(url, **kwargs):
-            attempts.append(("post", url))
-            posts = sum(1 for kind, _ in attempts if kind == "post")
-            if posts < 3:
-                return _FakeResponse(429)
-            return _FakeResponse(200, {"choices": [{"message": {"content": "ok"}}]})
-
-        monkeypatch.setattr(client_mod.requests, "post", fake_post)
-        assert complete("p", self._cfg()) == "ok"
-        assert sum(1 for kind, _ in attempts if kind == "post") == 3
-
-    def test_persistent_500_raises_with_status(self, monkeypatch):
+    def test_persistent_500_raises_with_status(self, http_server, monkeypatch):
         monkeypatch.setattr(client_mod.time, "sleep", lambda s: None)
-        monkeypatch.setattr(
-            client_mod.requests, "post", lambda url, **kw: _FakeResponse(500)
-        )
+        http_server.script(Reply(500))
         with pytest.raises(ClientError) as err:
-            complete("p", self._cfg())
+            complete("p", self._cfg(http_server))
         assert err.value.status == 500
         assert "5 attempts" in str(err.value)
+        assert len(http_server.seen) == client_mod._MAX_ATTEMPTS
 
-    def test_client_error_is_not_retried(self, monkeypatch):
-        posts = []
-
-        def fake_post(url, **kwargs):
-            posts.append(url)
-            return _FakeResponse(403)
-
-        monkeypatch.setattr(client_mod.requests, "post", fake_post)
+    def test_client_error_is_not_retried(self, http_server):
+        http_server.script(Reply(403))
         with pytest.raises(ClientError) as err:
-            complete("p", self._cfg())
+            complete("p", self._cfg(http_server))
         assert err.value.status == 403
-        assert len(posts) == 1
+        assert len(http_server.seen) == 1
 
-    def test_timeout_raises(self, monkeypatch):
-        def fake_post(url, **kwargs):
-            raise client_mod.requests.Timeout("too slow")
+    def test_timeout_raises(self, http_server, monkeypatch):
+        # A timeout is retried; it raises once every attempt has timed out.
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(Reply(200, {}, delay=2.0))
+        with pytest.raises(ClientError, match="timed out") as err:
+            complete("p", self._cfg(http_server, timeout=0.1))
+        assert err.value.status is None
+        assert len(sleeps) == client_mod._MAX_ATTEMPTS - 1
 
-        monkeypatch.setattr(client_mod.requests, "post", fake_post)
-        with pytest.raises(ClientError, match="timed out"):
-            complete("p", self._cfg())
+    def test_timeout_is_retried_then_succeeds(self, http_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(Reply(200, {}, delay=2.0), chat_reply("late"))
+        assert complete("p", self._cfg(http_server, timeout=0.2)) == "late"
+        assert len(http_server.seen) == 2
+        assert len(sleeps) == 1
 
-    def test_bearer_token_from_environment(self, monkeypatch):
-        seen = {}
+    def test_connection_reset_is_retried_then_succeeds(self, http_server, monkeypatch):
+        monkeypatch.setattr(client_mod.time, "sleep", lambda s: None)
+        http_server.script(Reset(), Reset(), chat_reply("back"))
+        assert complete("p", self._cfg(http_server)) == "back"
+        assert len(http_server.seen) == 3
 
-        def fake_post(url, headers=None, **kwargs):
-            seen.update(headers)
-            return _FakeResponse(200, {"choices": [{"message": {"content": "x"}}]})
+    def test_refused_connection_is_not_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        cfg = ModelConfig(kind="remote", model="m", endpoint=f"http://127.0.0.1:{port}/v1")
+        with pytest.raises(ClientError, match="failed") as err:
+            complete("p", cfg)
+        assert err.value.status is None
+        assert sleeps == []
 
-        monkeypatch.setattr(client_mod.requests, "post", fake_post)
+    def test_retry_after_seconds_is_honoured_and_capped(self, http_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(
+            Reply(429, headers=(("Retry-After", "2"),)),
+            Reply(503, headers=(("Retry-After", "3600"),)),
+            chat_reply("ok"),
+        )
+        assert complete("p", self._cfg(http_server)) == "ok"
+        assert sleeps == [2.0, client_mod._RETRY_AFTER_CAP]
+
+    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "1.5", "-1", "\u00b2"])
+    def test_other_retry_after_falls_back_to_jitter(self, http_server, monkeypatch, value):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(Reply(429, headers=(("Retry-After", value),)), chat_reply("ok"))
+        assert complete("p", self._cfg(http_server)) == "ok"
+        assert len(sleeps) == 1
+        assert 0.0 <= sleeps[0] <= client_mod._BACKOFF_BASE
+
+    def test_jitter_stays_within_the_backoff_ceiling(self, http_server, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(Reply(503))
+        for _ in range(20):
+            with pytest.raises(ClientError):
+                complete("p", self._cfg(http_server))
+        ceilings = [client_mod._BACKOFF_BASE * 2**n for n in range(client_mod._MAX_ATTEMPTS - 1)]
+        assert len(sleeps) == 20 * len(ceilings)
+        for n, delay in enumerate(sleeps):
+            assert 0.0 <= delay <= ceilings[n % len(ceilings)]
+        assert len(set(sleeps)) == len(sleeps)  # drawn, not a fixed schedule
+
+    def test_jitter_leaves_the_global_random_stream_alone(self, http_server, monkeypatch):
+        monkeypatch.setattr(client_mod.time, "sleep", lambda s: None)
+        http_server.script(Reply(503), Reply(503), chat_reply("ok"))
+        state = random.getstate()
+        complete("p", self._cfg(http_server))
+        assert random.getstate() == state
+
+    def test_bearer_token_from_environment(self, http_server, monkeypatch):
+        http_server.script(chat_reply("x"))
         monkeypatch.setenv(client_mod.API_TOKEN_ENV, "sekrit")
-        complete("p", self._cfg())
-        assert seen.get("Authorization") == "Bearer sekrit"
+        complete("p", self._cfg(http_server))
+        assert http_server.seen[0].headers.get("Authorization") == "Bearer sekrit"
+
+    def test_no_token_sends_no_authorization(self, http_server, monkeypatch):
+        http_server.script(chat_reply("x"))
+        monkeypatch.delenv(client_mod.API_TOKEN_ENV, raising=False)
+        complete("p", self._cfg(http_server))
+        assert "Authorization" not in http_server.seen[0].headers
+
+
+def _chat(url):
+    return complete("p", ModelConfig(kind="remote", model="m", endpoint=url))
+
+
+def _embed(url):
+    return http_embedding_provider(url)(["a", "b"])
+
+
+def _paraphrase(url):
+    return http_paraphrase_provider(url)("a b")
+
+
+CALLERS = {"chat": _chat, "embedding": _embed, "paraphrase": _paraphrase}
+GOOD_REPLIES = {
+    "chat": chat_reply("out"),
+    "embedding": Reply(200, {"vectors": [[1.0, 0.0], [0.0, 1.0]]}),
+    "paraphrase": Reply(200, {"text": "b a"}),
+}
+
+
+class TestSharedHttpPath:
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    @pytest.mark.parametrize("body", [b"not json", {"other": 1}, [1, 2]], ids=["text", "keys", "list"])
+    def test_malformed_body_is_a_client_error(self, http_server, caller, body):
+        http_server.script(Reply(200, body))
+        with pytest.raises(ClientError, match="malformed") as err:
+            CALLERS[caller](http_server.url)
+        assert err.value.status == 200
+        assert len(http_server.seen) == 1
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_503_is_retried_once_then_succeeds(self, http_server, monkeypatch, caller):
+        sleeps = []
+        monkeypatch.setattr(client_mod.time, "sleep", sleeps.append)
+        http_server.script(Reply(503), GOOD_REPLIES[caller])
+        out = CALLERS[caller](http_server.url)
+        assert len(http_server.seen) == 2
+        assert len(sleeps) == 1
+        if caller == "embedding":
+            np.testing.assert_array_equal(out, [[1.0, 0.0], [0.0, 1.0]])
+        else:
+            assert out == {"chat": "out", "paraphrase": "b a"}[caller]
+
+    def test_provider_payloads(self, http_server):
+        http_server.script(GOOD_REPLIES["embedding"])
+        _embed(http_server.url)
+        http_server.script(GOOD_REPLIES["paraphrase"])
+        _paraphrase(http_server.url)
+        assert [seen.body for seen in http_server.seen] == [
+            b'{"texts": ["a", "b"]}',
+            b'{"text": "a b"}',
+        ]
+
+    @pytest.mark.parametrize("caller", sorted(CALLERS))
+    def test_unsendable_endpoint_is_a_client_error(self, caller):
+        with pytest.raises(ClientError):
+            CALLERS[caller]("no-scheme.test/v1")

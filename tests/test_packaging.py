@@ -1,0 +1,34 @@
+"""Guards on what the package needs and on the bundled data it ships."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+from conftest import DATA_DIR, ROOT
+
+
+def test_cli_import_pulls_in_no_requests():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    code = "import slotnoise.cli, sys; assert 'requests' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+
+
+def test_make_splits_reproduces_the_bundled_data(tmp_path):
+    script = ROOT / "scripts" / "make_splits.py"
+    subprocess.run(
+        [sys.executable, str(script), str(tmp_path)], check=True, capture_output=True, timeout=120
+    )
+    bundled = sorted(p.name for p in DATA_DIR.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
