@@ -160,10 +160,10 @@ def main(out_dir: Path = DATA_DIR) -> None:
         "typos": TYPOS_SPEC,
         "speech": SPEECH_SPEC,
         "append_irr": APPEND_SPEC,
-        "spe_typ": compose([SPEECH_SPEC, TYPOS_SPEC], seed=101),
-        "spe_app": compose([SPEECH_SPEC, APPEND_SPEC], seed=102),
-        "ent_app": compose([TYPOS_SPEC, APPEND_SPEC], seed=103),
-        "spe_app_typ": compose([SPEECH_SPEC, APPEND_SPEC, TYPOS_SPEC], seed=104),
+        "spe_typ": compose([SPEECH_SPEC, TYPOS_SPEC]),
+        "spe_app": compose([SPEECH_SPEC, APPEND_SPEC]),
+        "ent_app": compose([TYPOS_SPEC, APPEND_SPEC]),
+        "spe_app_typ": compose([SPEECH_SPEC, APPEND_SPEC, TYPOS_SPEC]),
     }
     manifest: dict = {"generated": {}, "rewritten": ["paraphrase", "simplification", "verbose"]}
     for name, spec in generated.items():

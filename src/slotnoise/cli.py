@@ -76,7 +76,7 @@ def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
     members = _member_specs(args, "member")
     if not members:
         raise ConfigError("composite kind requires --members")
-    return perturb.compose(members, seed=args.seed)
+    return perturb.compose(members)
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -86,7 +86,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
         raise ConfigError("--out must differ from --in (inputs are never mutated)")
     ds = corpus.load_dataset(in_path)
     spec = _build_spec(args)
-    spec = perturb.with_insert_vocab(spec, ds)
     perturbed, report = perturb.perturb_dataset(ds, spec)
     name = perturb.display_name(spec)
     perturbed = corpus.Dataset(perturbed.examples, perturbed.labels, name)

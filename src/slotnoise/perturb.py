@@ -4,7 +4,9 @@ Character-level typos, word-level homophone swaps / deletions / insertions,
 and sentence-level irrelevant-sentence appends or paraphrases. Every operator
 is a pure function of (example, spec): randomness is drawn from a generator
 seeded with hash(spec.seed, example.id), so dataset-level perturbation is
-reproducible regardless of iteration order or parallelism.
+reproducible regardless of iteration order or parallelism. Operators read
+their asset already loaded: apply_perturbation and perturb_dataset (and
+pools.build_pool) load each spec's assets once per call via resolve_assets.
 
 Gold spans are remapped alongside the token edits. Char-level and homophone
 edits never move token indices; deletions shrink or drop spans; insertions
@@ -17,9 +19,8 @@ import hashlib
 import random
 import string
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .client import _post_json
 from .corpus import Dataset, LabeledExample, SlotSpan, is_token, leftmost_match
@@ -84,9 +85,6 @@ _ASSETS_DIR = Path(__file__).parent / "assets"
 DEFAULT_HOMOPHONES = _ASSETS_DIR / "homophones.txt"
 DEFAULT_SENTENCE_POOL = _ASSETS_DIR / "irrelevant_sentences.txt"
 
-# The asset names the operators read from PerturbationSpec.assets.
-ASSET_KEYS = ("homophone_lexicon", "sentence_pool", "insert_vocab", "paraphrase_provider")
-
 _ALPHABET = string.ascii_lowercase
 
 
@@ -96,9 +94,10 @@ class PerturbationSpec:
 
     assets may hold file paths (str) or in-memory values: a mapping for the
     homophone lexicon, a sequence of words for the insertion vocabulary, a
-    sequence of sentences for the append pool, or a provider name/URL for
-    paraphrasing. Composite specs hold an ordered member list; members apply
-    in canonical sentence -> word -> char order with their own seeds.
+    sequence of sentences for the append pool, or a provider name, URL or
+    callable for paraphrasing; resolve_assets loads them. A composite spec
+    holds only its members, which apply in canonical sentence -> word -> char
+    order with their own p, seed and assets.
     """
 
     kind: str
@@ -115,6 +114,8 @@ class PerturbationSpec:
         object.__setattr__(self, "assets", dict(self.assets))
         object.__setattr__(self, "members", tuple(self.members))
         if self.kind == COMPOSITE:
+            if (self.p, self.seed, self.assets) != (PerturbationSpec.p, PerturbationSpec.seed, {}):
+                raise ConfigError("composite spec takes no p, seed or assets; set them on members")
             if not self.members:
                 raise ConfigError("composite spec requires at least one member")
             for member in self.members:
@@ -175,94 +176,6 @@ def _rng(spec: PerturbationSpec, ex: LabeledExample) -> random.Random:
     return random.Random(derive_seed(spec.seed, ex.id))
 
 
-@lru_cache(maxsize=64)
-def _read_lexicon(path_str: str) -> dict[str, tuple[str, ...]]:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"homophone lexicon not found: {path}")
-    lexicon: dict[str, tuple[str, ...]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        word, _, alts = line.partition("\t")
-        options = tuple(
-            alt.strip() for alt in alts.split(",") if is_token(alt.strip())
-        )
-        if word and options:
-            lexicon[word.lower()] = options
-    return lexicon
-
-
-@lru_cache(maxsize=64)
-def _read_lines(path_str: str) -> tuple[str, ...]:
-    path = Path(path_str)
-    if not path.exists():
-        raise ConfigError(f"asset file not found: {path}")
-    return tuple(
-        line.strip()
-        for line in path.read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    )
-
-
-def _resolve_lexicon(spec: PerturbationSpec) -> dict[str, tuple[str, ...]]:
-    value = spec.assets.get("homophone_lexicon")
-    if value is None:
-        value = str(DEFAULT_HOMOPHONES)
-    if isinstance(value, Mapping):
-        return {
-            str(k).lower(): tuple(str(a) for a in alts) for k, alts in value.items()
-        }
-    lexicon = _read_lexicon(str(value))
-    if not lexicon:
-        raise ConfigError(f"homophone lexicon is empty: {value}")
-    return lexicon
-
-
-def _resolve_sentence_pool(spec: PerturbationSpec) -> tuple[str, ...]:
-    value = spec.assets.get("sentence_pool")
-    if value is None:
-        value = str(DEFAULT_SENTENCE_POOL)
-    if isinstance(value, (list, tuple)):
-        pool = tuple(str(s) for s in value if str(s).strip())
-    else:
-        pool = _read_lines(str(value))
-    if not pool:
-        raise ConfigError("irrelevant-sentence pool is empty")
-    return pool
-
-
-def _resolve_vocab(spec: PerturbationSpec) -> tuple[str, ...]:
-    value = spec.assets.get("insert_vocab")
-    if value is None:
-        raise ConfigError("insertion vocabulary is empty: no insert_vocab asset configured")
-    if isinstance(value, (list, tuple)):
-        vocab = tuple(str(w) for w in value if str(w).strip())
-    else:
-        vocab = _read_lines(str(value))
-    if not vocab:
-        raise ConfigError("insertion vocabulary is empty")
-    return vocab
-
-
-def unigram_vocab(ds: Dataset) -> tuple[str, ...]:
-    """Sorted unique tokens of a dataset, for use as insertion vocabulary."""
-    return tuple(sorted({tok for ex in ds for tok in ex.tokens}))
-
-
-def with_insert_vocab(spec: PerturbationSpec, clean: Dataset) -> PerturbationSpec:
-    """Fill the insert_vocab asset from a clean dataset where it is missing."""
-    if spec.kind == COMPOSITE:
-        members = tuple(with_insert_vocab(m, clean) for m in spec.members)
-        return replace(spec, members=members)
-    if spec.kind == WORD_INSERT and spec.assets.get("insert_vocab") is None:
-        assets = dict(spec.assets)
-        assets["insert_vocab"] = unigram_vocab(clean)
-        return replace(spec, assets=assets)
-    return spec
-
-
 def _tag(ex: LabeledExample, kind: str, **changes) -> LabeledExample:
     changes.setdefault("provenance", ex.provenance + (kind,))
     return replace(ex, **changes)
@@ -316,7 +229,7 @@ def perturb_word_homophone(
     """Replace lexicon-covered tokens with a uniform homophone with prob p."""
     if spec.kind != WORD_HOMOPHONE:
         raise ConfigError(f"expected {WORD_HOMOPHONE} spec, got {spec.kind}")
-    lexicon = _resolve_lexicon(spec)
+    lexicon = spec.assets["homophone_lexicon"]
     rng = _rng(spec, ex)
     out: list[str] = []
     edited = 0
@@ -406,7 +319,7 @@ def perturb_word_insert(
     """
     if spec.kind != WORD_INSERT:
         raise ConfigError(f"expected {WORD_INSERT} spec, got {spec.kind}")
-    vocab = _resolve_vocab(spec)
+    vocab = spec.assets["insert_vocab"]
     rng = _rng(spec, ex)
     n = len(ex.tokens)
     forbidden = set()
@@ -445,7 +358,7 @@ def perturb_append_irr(
     """Append one irrelevant pool sentence with prob p; spans are untouched."""
     if spec.kind != APPEND_IRR:
         raise ConfigError(f"expected {APPEND_IRR} spec, got {spec.kind}")
-    pool = _resolve_sentence_pool(spec)
+    pool = spec.assets["sentence_pool"]
     rng = _rng(spec, ex)
     if rng.random() >= spec.p:
         return _tag(ex, APPEND_IRR), PerturbationReport(eligible_tokens=1)
@@ -474,21 +387,8 @@ def http_paraphrase_provider(endpoint: str, timeout: float = 30.0) -> Paraphrase
     return _call
 
 
-def resolve_paraphrase_provider(value: object) -> ParaphraseProvider:
-    if value is None or value == "identity":
-        return identity_paraphrase
-    if callable(value):
-        return value
-    name = str(value)
-    if name.startswith("http://") or name.startswith("https://"):
-        return http_paraphrase_provider(name)
-    raise ConfigError(f"unknown paraphrase provider: {name!r}")
-
-
 def perturb_paraphrase(
-    ex: LabeledExample,
-    spec: PerturbationSpec,
-    provider: ParaphraseProvider | None = None,
+    ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Rewrite the utterance via a provider and re-locate gold entities.
 
@@ -498,9 +398,7 @@ def perturb_paraphrase(
     """
     if spec.kind != PARAPHRASE:
         raise ConfigError(f"expected {PARAPHRASE} spec, got {spec.kind}")
-    if provider is None:
-        provider = resolve_paraphrase_provider(spec.assets.get("paraphrase_provider"))
-    new_text = provider(ex.utterance)
+    new_text = spec.assets["paraphrase_provider"](ex.utterance)
     new_tokens = tuple(new_text.split())
     if new_tokens == ex.tokens:
         return ex, PerturbationReport(eligible_tokens=1)
@@ -522,9 +420,103 @@ def perturb_paraphrase(
     return _tag(ex, PARAPHRASE, tokens=new_tokens, spans=tuple(spans)), report
 
 
-def compose(specs: Sequence[PerturbationSpec], seed: int = 0) -> PerturbationSpec:
+def _read_lines(path: object, what: str) -> list[str]:
+    """The stripped, non-empty lines of an asset file."""
+    path = Path(str(path))
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}")
+    return [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+
+
+def _load_lexicon(value: object, examples) -> dict[str, tuple[str, ...]]:
+    if isinstance(value, Mapping):
+        return {str(k).lower(): tuple(str(a) for a in alts) for k, alts in value.items()}
+    path = DEFAULT_HOMOPHONES if value is None else value
+    lexicon: dict[str, tuple[str, ...]] = {}
+    for line in _read_lines(path, "homophone lexicon"):
+        if line.startswith("#"):
+            continue
+        word, _, alts = line.partition("\t")
+        options = tuple(alt.strip() for alt in alts.split(",") if is_token(alt.strip()))
+        if word and options:
+            lexicon[word.lower()] = options
+    if not lexicon:
+        raise ConfigError(f"homophone lexicon is empty: {path}")
+    return lexicon
+
+
+def _load_items(value: object, what: str) -> tuple[str, ...]:
+    lines = value if isinstance(value, (list, tuple)) else _read_lines(value, what)
+    items = tuple(str(s) for s in lines if str(s).strip())
+    if not items:
+        raise ConfigError(f"{what} is empty")
+    return items
+
+
+def _load_sentences(value: object, examples) -> tuple[str, ...]:
+    path = DEFAULT_SENTENCE_POOL if value is None else value
+    return _load_items(path, "irrelevant-sentence pool")
+
+
+def _load_vocab(value: object, examples: Iterable[LabeledExample]) -> tuple[str, ...]:
+    if value is None:
+        return tuple(sorted({tok for ex in examples for tok in ex.tokens}))
+    return _load_items(value, "insertion vocabulary")
+
+
+def _load_paraphraser(value: object, examples) -> ParaphraseProvider:
+    if value is None or value == "identity":
+        return identity_paraphrase
+    if callable(value):
+        return value
+    name = str(value)
+    if name.startswith(("http://", "https://")):
+        return http_paraphrase_provider(name)
+    raise ConfigError(f"unknown paraphrase provider: {name!r}")
+
+
+# The asset each operator reads from PerturbationSpec.assets, and its loader.
+_ASSET_LOADERS = {
+    WORD_HOMOPHONE: ("homophone_lexicon", _load_lexicon),
+    APPEND_IRR: ("sentence_pool", _load_sentences),
+    WORD_INSERT: ("insert_vocab", _load_vocab),
+    PARAPHRASE: ("paraphrase_provider", _load_paraphraser),
+}
+ASSET_KEYS = tuple(key for key, _ in _ASSET_LOADERS.values())
+
+
+def resolve_assets(
+    specs: Sequence[PerturbationSpec], examples: Sequence[LabeledExample]
+) -> list[PerturbationSpec]:
+    """Copies of specs holding the loaded asset each operator reads.
+
+    The homophone lexicon becomes a lower-cased dict, the sentence pool and
+    insertion vocabulary tuples of strings, the paraphrase provider a
+    callable. Each file, default or in-memory value is loaded once per call,
+    however many specs name it; a missing insert_vocab is the sorted unique
+    tokens of examples, the data about to be perturbed.
+    """
+    loaded: dict[tuple[str, object], object] = {}
+
+    def resolve(spec: PerturbationSpec) -> PerturbationSpec:
+        if spec.kind == COMPOSITE:
+            return replace(spec, members=tuple(map(resolve, spec.members)))
+        if spec.kind not in _ASSET_LOADERS:
+            return spec
+        key, load = _ASSET_LOADERS[spec.kind]
+        value = spec.assets.get(key)
+        # An in-memory value is keyed by identity; the specs keep it alive.
+        memo = (key, value if value is None or isinstance(value, str) else id(value))
+        if memo not in loaded:
+            loaded[memo] = load(value, examples)
+        return replace(spec, assets={**spec.assets, key: loaded[memo]})
+
+    return [resolve(spec) for spec in specs]
+
+
+def compose(specs: Sequence[PerturbationSpec]) -> PerturbationSpec:
     """Bundle non-composite specs into a composite (one nesting level)."""
-    return PerturbationSpec(kind=COMPOSITE, p=1.0, seed=seed, members=tuple(specs))
+    return PerturbationSpec(kind=COMPOSITE, members=tuple(specs))
 
 
 def canonical_member_order(
@@ -541,7 +533,7 @@ def apply_composite(
         raise ConfigError(f"expected {COMPOSITE} spec, got {spec.kind}")
     report = PerturbationReport()
     for member in canonical_member_order(spec.members):
-        ex, member_report = apply_perturbation(ex, member)
+        ex, member_report = _OPERATORS[member.kind](ex, member)
         report = report.merged(member_report)
     return ex, report
 
@@ -553,14 +545,22 @@ _OPERATORS: dict[str, Callable] = {
     WORD_INSERT: perturb_word_insert,
     APPEND_IRR: perturb_append_irr,
     PARAPHRASE: perturb_paraphrase,
+    COMPOSITE: apply_composite,
 }
+
+
+def perturb_examples(
+    examples: Iterable[LabeledExample], spec: PerturbationSpec
+) -> Iterator[tuple[LabeledExample, PerturbationReport]]:
+    """Apply a spec that resolve_assets returned to each example in turn."""
+    operator = _OPERATORS[spec.kind]
+    return (operator(ex, spec) for ex in examples)
 
 
 def apply_perturbation(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
-    if spec.kind == COMPOSITE:
-        return apply_composite(ex, spec)
+    (spec,) = resolve_assets([spec], (ex,))
     return _OPERATORS[spec.kind](ex, spec)
 
 
@@ -568,10 +568,10 @@ def perturb_dataset(
     ds: Dataset, spec: PerturbationSpec
 ) -> tuple[Dataset, PerturbationReport]:
     """Perturb every example; output is a pure function of (dataset, spec)."""
+    (spec,) = resolve_assets([spec], ds.examples)
     examples: list[LabeledExample] = []
     report = PerturbationReport()
-    for ex in ds:
-        out, ex_report = apply_perturbation(ex, spec)
+    for out, ex_report in perturb_examples(ds, spec):
         examples.append(out)
         report = report.merged(ex_report)
     return Dataset(tuple(examples), ds.labels, ds.split_name), report
@@ -595,6 +595,8 @@ def display_name(spec: PerturbationSpec) -> str:
 
 
 def spec_to_dict(spec: PerturbationSpec) -> dict:
+    if spec.kind == COMPOSITE:
+        return {"kind": COMPOSITE, "members": [spec_to_dict(m) for m in spec.members]}
     out: dict = {"kind": spec.kind, "p": spec.p, "seed": spec.seed}
     assets = {
         key: (list(value) if isinstance(value, (list, tuple)) else value)
@@ -603,13 +605,15 @@ def spec_to_dict(spec: PerturbationSpec) -> dict:
     }
     if assets:
         out["assets"] = assets
-    if spec.members:
-        out["members"] = [spec_to_dict(m) for m in spec.members]
     return out
 
 
 def spec_from_dict(data: Mapping) -> PerturbationSpec:
-    kwargs = scalars_from_dict(PerturbationSpec, data, "pool spec")
+    if isinstance(data, Mapping) and data.get("kind") == COMPOSITE:
+        where, omit = "composite pool spec", ("p", "seed", "assets")
+    else:
+        where, omit = "pool spec", ()
+    kwargs = scalars_from_dict(PerturbationSpec, data, where, omit)
     assets = data.get("assets", {})
     check_keys(assets, ASSET_KEYS, "asset")
     members = tuple(spec_from_dict(m) for m in data.get("members", []))

@@ -12,10 +12,10 @@ from .errors import ConfigError
 from .perturb import (
     PerturbationSpec,
     kind_token,
-    perturb_dataset,
+    perturb_examples,
+    resolve_assets,
     spec_from_dict,
     spec_to_dict,
-    with_insert_vocab,
 )
 
 POOL_LABELS = ("clean", "augment", "mixed")
@@ -51,37 +51,30 @@ class DataPool:
         raise ConfigError(f"unknown pool label: {pool_label!r} (expected one of {POOL_LABELS})")
 
 
-def augment_suffix(spec: PerturbationSpec, ordinal: int = 0) -> str:
-    token = kind_token(spec)
-    return token if ordinal == 0 else f"{token}#{ordinal + 1}"
-
-
 def build_pool(clean: Dataset, specs: Sequence[PerturbationSpec]) -> DataPool:
-    """Produce one perturbed copy of the clean set per spec and merge them."""
+    """Produce one perturbed copy of the clean set per spec and merge them.
+
+    The specs' assets are loaded once for the whole pool (resolve_assets).
+    """
     copies = []
     seen_tokens: dict[str, int] = {}
-    for spec in specs:
-        spec = with_insert_vocab(spec, clean)
-        perturbed, _ = perturb_dataset(clean, spec)
+    for spec in resolve_assets(specs, clean.examples):
         token = kind_token(spec)
         ordinal = seen_tokens.get(token, 0)
         seen_tokens[token] = ordinal + 1
-        suffix = augment_suffix(spec, ordinal)
-        copies.extend(ex.with_id(f"{ex.id}__{suffix}") for ex in perturbed)
+        suffix = token if ordinal == 0 else f"{token}#{ordinal + 1}"
+        copies.extend(ex.with_id(f"{ex.id}__{suffix}") for ex, _ in perturb_examples(clean, spec))
     augmented = Dataset(tuple(copies), clean.labels, "augment")
     return DataPool(clean=clean, augmented=augmented)
 
 
 def save_pool(pool: DataPool, out_dir: str | Path, specs: Sequence[PerturbationSpec]) -> None:
-    """Persist a pool as jsonl files plus a manifest of specs and seeds."""
+    """Persist a pool as jsonl files plus a manifest of its specs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(pool.clean, out / "clean.jsonl")
     save_dataset(pool.augmented, out / "augmented.jsonl")
-    manifest = {
-        "specs": [spec_to_dict(spec) for spec in specs],
-        "seeds": [spec.seed for spec in specs],
-    }
+    manifest = {"specs": [spec_to_dict(spec) for spec in specs]}
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

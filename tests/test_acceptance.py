@@ -305,7 +305,7 @@ def test_composite_equals_sequential_members():
             assets={"homophone_lexicon": {"two": ["too"], "see": ["sea"], "new": ["knew"]}},
         ),
     ]
-    composite = compose(members, seed=99)
+    composite = compose(members)
     canonical = [members[0], members[2], members[1]]  # sentence -> word -> char
     for trial in range(1000):
         ex = random_example(rng, f"cmp{trial}")

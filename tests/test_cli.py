@@ -221,6 +221,19 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 
+    @pytest.mark.parametrize(
+        "key, value", [("p", 1.0), ("seed", 101), ("assets", {"homophone_lexicon": "/no/such/file"})]
+    )
+    def test_composite_with_own_setting_exits_2_before_any_write(self, tmp_path, capsys, key, value):
+        cache = tmp_path / "cache"
+        member = {"kind": "char_typos", "p": 0.3, "seed": 11}
+        composite = {"kind": "composite", "members": [member], key: value}
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[composite])
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert f"composite pool spec key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
     def test_demos_without_pool_clean_exits_2_before_any_write(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         config = eval_config(tmp_path, cache_dir=str(cache), pool_clean="")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 
@@ -15,6 +16,12 @@ def test_cli_import_pulls_in_no_requests():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     code = "import slotnoise.cli, sys; assert 'requests' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_src_keeps_no_process_wide_cache():
+    pattern = re.compile(r"lru_cache|functools\.cache|from functools import[^\n]*\bcache\b")
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        assert not pattern.search(path.read_text(encoding="utf-8")), path
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import is_subsequence, levenshtein, remap_spans_over_survivors
 from slotnoise import perturb
 from slotnoise.corpus import SlotSpan
+from slotnoise.pools import build_pool
 from slotnoise.errors import ConfigError
 from slotnoise.perturb import (
     PerturbationReport,
@@ -52,10 +54,29 @@ class TestSpec:
         with pytest.raises(ConfigError):
             compose([inner])
 
+    def test_compose_takes_no_seed(self):
+        with pytest.raises(TypeError):
+            compose([spec(perturb.CHAR_TYPOS)], seed=1)
+
+    @pytest.mark.parametrize("field", [{"p": 0.5}, {"seed": 3}, {"assets": {"sentence_pool": ["x"]}}])
+    def test_composite_holds_only_members(self, field):
+        members = (spec(perturb.CHAR_TYPOS),)
+        with pytest.raises(ConfigError, match="composite"):
+            PerturbationSpec(kind=perturb.COMPOSITE, members=members, **field)
+        data = {"kind": perturb.COMPOSITE, "members": [spec_to_dict(members[0])], **field}
+        with pytest.raises(ConfigError, match=repr(next(iter(field)))):
+            spec_from_dict(data)
+
+    def test_composite_dict_has_only_kind_and_members(self):
+        composite = compose([spec(perturb.CHAR_TYPOS, p=0.3, seed=1)])
+        assert spec_to_dict(composite) == {
+            "kind": perturb.COMPOSITE,
+            "members": [{"kind": perturb.CHAR_TYPOS, "p": 0.3, "seed": 1}],
+        }
+
     def test_dict_round_trip(self):
         composite = compose(
-            [spec(perturb.WORD_HOMOPHONE, p=0.5, seed=2), spec(perturb.CHAR_TYPOS, p=0.3, seed=1)],
-            seed=9,
+            [spec(perturb.WORD_HOMOPHONE, p=0.5, seed=2), spec(perturb.CHAR_TYPOS, p=0.3, seed=1)]
         )
         assert spec_from_dict(spec_to_dict(composite)) == composite
 
@@ -114,7 +135,7 @@ class TestHomophone:
     def test_missing_lexicon_asset(self):
         s = spec(perturb.WORD_HOMOPHONE, p=0.5, homophone_lexicon="/nonexistent/lexicon.txt")
         with pytest.raises(ConfigError, match="lexicon"):
-            perturb_word_homophone(make_example(["two"]), s)
+            apply_perturbation(make_example(["two"]), s)
 
     def test_lexicon_file_keeps_only_single_token_alternatives(self, tmp_path):
         lexicon = tmp_path / "lexicon.txt"
@@ -124,7 +145,7 @@ class TestHomophone:
         s = spec(perturb.WORD_HOMOPHONE, p=1.0, homophone_lexicon=str(lexicon))
         seen = set()
         for seed in range(40):
-            out, _ = perturb_word_homophone(make_example(["two"]), replace(s, seed=seed))
+            out, _ = apply_perturbation(make_example(["two"]), replace(s, seed=seed))
             seen.add(out.tokens[0])
         assert seen == {"too", "to", "tew"}
 
@@ -255,7 +276,7 @@ class TestWordInsert:
 
     def test_empty_vocab_is_config_error(self):
         with pytest.raises(ConfigError, match="vocabulary"):
-            perturb_word_insert(make_example(["a"]), spec(perturb.WORD_INSERT, p=0.5))
+            apply_perturbation(make_example(["a"]), spec(perturb.WORD_INSERT, p=0.5, insert_vocab=[]))
 
 
 class TestAppendIrr:
@@ -275,7 +296,7 @@ class TestAppendIrr:
 
     def test_empty_pool_is_config_error(self):
         with pytest.raises(ConfigError, match="pool"):
-            perturb_append_irr(make_example(["a"]), spec(perturb.APPEND_IRR, p=1.0, sentence_pool=[]))
+            apply_perturbation(make_example(["a"]), spec(perturb.APPEND_IRR, p=1.0, sentence_pool=[]))
 
     def test_gold_restricted_to_original_range_unchanged(self):
         rng = random.Random(4)
@@ -291,7 +312,7 @@ class TestAppendIrr:
 class TestParaphrase:
     def test_identity_provider_is_exact_identity(self):
         ex = make_example(["play", "jazz", "loud", "jazz"], [(3, 3, "genre")])
-        out, report = perturb_paraphrase(ex, spec(perturb.PARAPHRASE))
+        out, report = apply_perturbation(ex, spec(perturb.PARAPHRASE))
         assert out == ex
         assert report.tokens_edited == 0
 
@@ -301,7 +322,7 @@ class TestParaphrase:
         def provider(text: str) -> str:
             return "on Spotify please play Abbey Road"
 
-        out, _ = perturb_paraphrase(ex, spec(perturb.PARAPHRASE), provider)
+        out, _ = perturb_paraphrase(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
         assert out.spans == (SlotSpan(1, 1, "service"), SlotSpan(4, 5, "album"))
         assert out.tokens[4:6] == ("Abbey", "Road")
 
@@ -311,13 +332,13 @@ class TestParaphrase:
         def provider(text: str) -> str:
             return "play something nice"
 
-        out, report = perturb_paraphrase(ex, spec(perturb.PARAPHRASE), provider)
+        out, report = perturb_paraphrase(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
         assert out == ex
         assert any("rejected" in note for note in report.notes)
 
     def test_unknown_provider_name(self):
         with pytest.raises(ConfigError):
-            perturb_paraphrase(
+            apply_perturbation(
                 make_example(["a"]), spec(perturb.PARAPHRASE, paraphrase_provider="magic")
             )
 
@@ -372,6 +393,104 @@ class TestComposite:
         assert display_name(typ) == "Typos"
         assert display_name(spe) == "Speech"
         assert display_name(app) == "AppendIrr"
+
+
+class CountingLexicon(dict):
+    """A lexicon mapping that counts how often it is walked."""
+
+    walks = 0
+
+    def items(self):
+        self.walks += 1
+        return super().items()
+
+
+class TestAssets:
+    def test_rewritten_lexicon_is_read_by_the_next_call(self, tmp_path):
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_text("two\ttoo\n", encoding="utf-8")
+        s = spec(perturb.WORD_HOMOPHONE, p=1.0, homophone_lexicon=str(lexicon))
+        assert apply_perturbation(make_example(["two"]), s)[0].tokens == ("too",)
+        lexicon.write_text("two\ttu\n", encoding="utf-8")
+        assert apply_perturbation(make_example(["two"]), s)[0].tokens == ("tu",)
+
+    @pytest.fixture
+    def asset_reads(self, tmp_path, monkeypatch):
+        """Asset files in tmp_path, and a counter of reads by file name."""
+        (tmp_path / "lexicon.txt").write_text("play\tplae\n", encoding="utf-8")
+        (tmp_path / "sentences.txt").write_text("by the way\n", encoding="utf-8")
+        (tmp_path / "vocab.txt").write_text("um\nwell\n", encoding="utf-8")
+        reads: dict[str, int] = {}
+        read_text = Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads[path.name] = reads.get(path.name, 0) + 1
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", counting)
+        return tmp_path, reads
+
+    def test_each_file_read_once_per_perturb_dataset_call(self, clean_dataset, asset_reads):
+        root, reads = asset_reads
+        composite = compose(
+            [
+                spec(perturb.WORD_HOMOPHONE, p=0.5, homophone_lexicon=str(root / "lexicon.txt")),
+                spec(perturb.APPEND_IRR, p=0.5, sentence_pool=str(root / "sentences.txt")),
+                spec(perturb.WORD_INSERT, p=0.5, insert_vocab=str(root / "vocab.txt")),
+            ]
+        )
+        for calls in (1, 2):
+            perturb_dataset(clean_dataset, composite)
+            assert reads == {"lexicon.txt": calls, "sentences.txt": calls, "vocab.txt": calls}
+
+    def test_each_file_read_once_per_build_pool_call(self, clean_dataset, asset_reads):
+        root, reads = asset_reads
+        lexicon = {"homophone_lexicon": str(root / "lexicon.txt")}
+        sentences = {"sentence_pool": str(root / "sentences.txt")}
+        specs = [
+            PerturbationSpec(kind=perturb.WORD_HOMOPHONE, p=0.5, seed=1, assets=lexicon),
+            PerturbationSpec(kind=perturb.APPEND_IRR, p=0.5, seed=2, assets=sentences),
+            compose(
+                [
+                    PerturbationSpec(kind=perturb.WORD_HOMOPHONE, p=0.9, seed=3, assets=lexicon),
+                    PerturbationSpec(kind=perturb.APPEND_IRR, p=0.9, seed=4, assets=sentences),
+                ]
+            ),
+        ]
+        build_pool(clean_dataset, specs)
+        assert reads == {"lexicon.txt": 1, "sentences.txt": 1}
+
+    def test_default_files_read_once_per_call(self, clean_dataset, asset_reads):
+        _, reads = asset_reads
+        specs = [spec(perturb.WORD_HOMOPHONE, p=0.5, seed=1), spec(perturb.WORD_HOMOPHONE, p=0.9, seed=2)]
+        build_pool(clean_dataset, specs + [spec(perturb.APPEND_IRR), spec(perturb.APPEND_IRR, seed=3)])
+        assert reads == {perturb.DEFAULT_HOMOPHONES.name: 1, perturb.DEFAULT_SENTENCE_POOL.name: 1}
+
+    def test_in_memory_lexicon_normalized_once_per_call(self, clean_dataset):
+        lexicon = CountingLexicon({"Play": ["plae"], "two": ["too"]})
+        s = spec(perturb.WORD_HOMOPHONE, p=1.0, homophone_lexicon=lexicon)
+        out, report = perturb_dataset(clean_dataset, s)
+        assert lexicon.walks == 1
+        assert report.tokens_edited > 1
+        assert "plae" in {tok for ex in out for tok in ex.tokens}
+        build_pool(clean_dataset, [s, replace(s, seed=1)])
+        assert lexicon.walks == 2
+
+    def test_missing_insert_vocab_is_the_perturbed_datasets_tokens(self, clean_dataset):
+        vocab = sorted({tok for ex in clean_dataset for tok in ex.tokens})
+        filled, _ = perturb_dataset(clean_dataset, spec(perturb.WORD_INSERT, p=0.5, seed=4))
+        given, _ = perturb_dataset(
+            clean_dataset, spec(perturb.WORD_INSERT, p=0.5, seed=4, insert_vocab=vocab)
+        )
+        assert filled == given
+        out, _ = apply_perturbation(make_example(["a", "b"]), spec(perturb.WORD_INSERT, p=1.0))
+        assert set(out.tokens) <= {"a", "b"} and len(out.tokens) == 5
+
+    def test_operators_leave_the_callers_spec_unresolved(self, clean_dataset):
+        s = spec(perturb.WORD_INSERT, p=0.5)
+        perturb_dataset(clean_dataset, s)
+        build_pool(clean_dataset, [s])
+        assert s.assets == {}
 
 
 class TestDatasetLevel:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import replace
 
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from slotnoise import perturb
 from slotnoise.corpus import save_dataset
 from slotnoise.errors import ConfigError
-from slotnoise.perturb import PerturbationSpec, compose, perturb_dataset, with_insert_vocab
+from slotnoise.perturb import PerturbationSpec, compose, perturb_dataset, spec_to_dict
 from slotnoise.pools import build_pool, load_pool, load_pool_manifest, save_pool
 
 
@@ -85,7 +86,7 @@ def test_augmented_examples_equal_revalidated_copies(clean_dataset, tmp_path):
     pool = build_pool(clean_dataset, specs)
     expected = []
     for spec, suffix in zip(specs, suffixes):
-        perturbed, _ = perturb_dataset(clean_dataset, with_insert_vocab(spec, clean_dataset))
+        perturbed, _ = perturb_dataset(clean_dataset, spec)
         expected.extend(replace(ex, id=f"{ex.id}__{suffix}") for ex in perturbed)
     assert len(pool.augmented) == len(expected)
     for got, want in zip(pool.augmented, expected):
@@ -120,3 +121,15 @@ def test_save_and_load_round_trip(clean_dataset, tmp_path):
     assert loaded.clean.examples == pool.clean.examples
     assert loaded.augmented.examples == pool.augmented.examples
     assert load_pool_manifest(tmp_path / "pool") == specs
+
+
+def test_manifest_holds_the_specs_only(clean_dataset, tmp_path):
+    composite = compose(
+        [PerturbationSpec(kind=perturb.CHAR_TYPOS, p=0.2, seed=1),
+         PerturbationSpec(kind=perturb.WORD_INSERT, p=0.5, seed=2)]
+    )
+    save_pool(build_pool(clean_dataset, [composite]), tmp_path / "pool", [composite])
+    manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest == {"specs": [spec_to_dict(composite)]}
+    assert "insert_vocab" not in json.dumps(manifest)
+    assert load_pool_manifest(tmp_path / "pool") == [composite]

@@ -45,3 +45,44 @@ def test_bundled_config_outputs_match_recorded_digests(tmp_path, config):
         for name in DIGESTS[config]
     }
     assert digests == DIGESTS[config]
+
+
+# The retrieved-demonstration variants that scripts/run_mock_eval.py runs.
+RETRIEVE_VARIANTS = {
+    "retrieve_instance": (
+        "mock_single.json",
+        {"demo_strategy": "retrieve", "demo_pool": "mixed"},
+        {
+            "prompts.jsonl": "5043831977dbcb22afa07d802b309c33ae3e6656b97c33b52ac993895c0ee83f",
+            "responses.jsonl": "1135b3310608f7c3b953555faaec438573852a390539df9972522c858119dfa4",
+            "predictions.jsonl": "25df381c9b40f1613e6261156b3b3c175f85049495924bb3672728c698c94dfb",
+            "gold.jsonl": "0ee930bfafcba58196bb68c269fe4eeb801f82306e316b4ae77f3b86f780864d",
+            "groups.tsv": "ede2263e3404ff05d213a1b4967550c264f9e3c715569390a744e02a645f619f",
+            "report.tsv": "c66e04bce66ea72116fb2ae4d3b9f26caabe7a0a8103c35c955303649294b8b3",
+        },
+    ),
+    "retrieve_entity": (
+        "mock_mixed.json",
+        {"demo_strategy": "retrieve"},
+        {
+            "prompts.jsonl": "6cf7c8c3a2ed4d8d5fc68f763f00fcf721943975b05f6f1389e78be7c3fbb136",
+            "responses.jsonl": "4f6763717c7cd8ee2aee2f2669294248b430064d871580087a78a28dd77f3f69",
+            "predictions.jsonl": "a8c82d6e1e694e5d5a2206d6f8d12c728b15c01b82fad030779fea1dade70bd0",
+            "gold.jsonl": "d8782568c0972fd38999a214082b1406a2eccfd5fefe0c831d0ef575000bf461",
+            "groups.tsv": "7d3660c382be423a8d26aa54846e633f721613a8fa2aa68a291faf0ffa165050",
+            "report.tsv": "0502ab086a5759d064d0a2b5695053130e87adff500a060cf23ee49d0fc21827",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(RETRIEVE_VARIANTS))
+def test_retrieve_variant_outputs_match_recorded_digests(tmp_path, variant):
+    config, changes, expected = RETRIEVE_VARIANTS[variant]
+    cfg = RunConfig.from_json(ROOT / "configs" / config)
+    run_experiment(replace(cfg, name=variant, out_dir=str(tmp_path / "run"), **changes))
+    digests = {
+        name: hashlib.sha256((tmp_path / "run" / name).read_bytes()).hexdigest()
+        for name in expected
+    }
+    assert digests == expected
