@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import corpus, harness, perturb, pools
 from .demos import build_entity_demos, build_instance_demos
-from .errors import ClientError, ConfigError, DataError, HarnessError, SlotNoiseError
+from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
 from .scorer import MatchCounts, aggregate, score_example
@@ -144,7 +144,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = harness.RunConfig.from_json(args.config)
-    ks = [int(k) for k in args.ks.split(",") if k.strip()]
+    try:
+        ks = [int(k) for k in args.ks.split(",") if k.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--ks: {exc}") from None
+    for i, k in enumerate(ks):
+        if k in ks[:i]:
+            raise ConfigError(f"--ks: repeated k {k}")
     harness.sweep_demo_count(cfg, ks)
     print((Path(cfg.out_dir) / "sweep.tsv").read_text(encoding="utf-8"), end="")
     return 0
@@ -159,6 +165,8 @@ def cmd_templates(args: argparse.Namespace) -> int:
         raise ConfigError("templates requires --config and --ids (or --list)")
     cfg = harness.RunConfig.from_json(args.config)
     ids = [t for t in args.ids.split(",") if t.strip()]
+    if args.baseline is not None and args.baseline not in ids:
+        raise ConfigError(f"--baseline {args.baseline!r} is not one of --ids")
     results = harness.compare_templates(cfg, ids)
     print(harness.render_report(results, baseline=args.baseline), end="")
     return 0
@@ -212,12 +220,16 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     results = {}
-    for path in args.results:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        name = str(payload.get("name", Path(path).stem))
+    for path in map(Path, args.results):
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            result = harness.EvalResult.from_dict(payload["result"])
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: bad result file: {exc!r}") from exc
+        name = str(payload.get("name", path.stem))
         if name in results:
-            name = f"{name}:{Path(path).stem}"
-        results[name] = harness.EvalResult.from_dict(payload["result"])
+            name = f"{name}:{path.stem}"
+        results[name] = result
     text = harness.render_report(results, baseline=args.baseline, out_dir=args.out)
     print(text, end="")
     return 0
@@ -303,9 +315,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, ClientError, HarnessError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except SlotNoiseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -175,10 +175,6 @@ class LabeledExample:
     def surface(self, span: SlotSpan) -> str:
         return " ".join(self.tokens[span.start : span.end + 1])
 
-    @property
-    def is_clean(self) -> bool:
-        return not self.provenance
-
 
 @dataclass(frozen=True)
 class Dataset:

@@ -37,7 +37,7 @@ from .errors import ConfigError, HarnessError
 from .parser import parse_predictions
 from .perturb import PerturbationSpec, derive_seed, spec_from_dict, spec_to_dict
 from .pools import POOL_LABELS, DataPool, build_pool
-from .prompts import bundled_registry, load_registry, render_prompt
+from .prompts import PromptTemplate, bundled_registry, load_registry, render_prompt
 from .schema import fields_to_dict, scalars_from_dict
 from .scorer import MODES as SCORING_MODES, EvalResult, MatchCounts, aggregate, score_example
 
@@ -134,12 +134,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _load_splits(cfg: RunConfig) -> list[tuple[str, Dataset]]:
-    return [
-        (group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits
-    ]
-
-
 def _collect_labels(cfg: RunConfig, splits: Sequence[tuple[str, Dataset]], pool: DataPool | None) -> LabelSet:
     if cfg.labels_path:
         return LabelSet.load(cfg.labels_path)
@@ -157,9 +151,7 @@ def _build_demos(
     pool: DataPool,
     labels: LabelSet,
     index: PoolIndex | None,
-) -> DemonstrationSet | None:
-    if cfg.demo_k <= 0:
-        return None
+) -> DemonstrationSet:
     demo_seed = derive_seed(cfg.seed, f"demos:{ex.id}")
     if cfg.demo_mode == ENTITY_MODE:
         return build_entity_demos(
@@ -170,34 +162,47 @@ def _build_demos(
     )
 
 
-def _template_registry(cfg: RunConfig, template_ids: Sequence[str]) -> Mapping:
-    """The run's template registry, checked to hold every one of template_ids."""
-    registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
-    unknown = [tid for tid in template_ids if tid not in registry]
-    if unknown:
-        raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
-    return registry
-
-
 def run_experiment(cfg: RunConfig) -> EvalResult:
     """Execute a full run and write its logs and report to cfg.out_dir."""
-    template = _template_registry(cfg, [cfg.template_id])[cfg.template_id]
+    return _run([cfg])[0]
+
+
+def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
+    """Run variants of one config that differ only in demo_k, template_id and out paths.
+
+    They share the template registry, splits, pool and index, all loaded before the
+    first write. A variant with demo_k 0 gets no pool, so its labels are the splits'.
+    """
+    cfg = subs[0]
+    registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
+    unknown = [sub.template_id for sub in subs if sub.template_id not in registry]
+    if unknown:
+        raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
+    splits = [(group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits]
+    pool = index = None
+    if any(sub.demo_k > 0 for sub in subs):
+        clean = load_dataset(cfg.pool_clean, split_name="clean")
+        pool = build_pool(clean, cfg.pool_specs)
+        if cfg.demo_strategy == RETRIEVE_STRATEGY:
+            provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
+            index = PoolIndex(pool.select(cfg.demo_pool).examples, provider)
+    return [_execute(sub, registry, splits, pool if sub.demo_k else None, index) for sub in subs]
+
+
+def _execute(
+    cfg: RunConfig,
+    registry: Mapping[str, PromptTemplate],
+    splits: Sequence[tuple[str, Dataset]],
+    pool: DataPool | None,
+    index: PoolIndex | None,
+) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(
         json.dumps(cfg.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
         encoding="utf-8",
     )
-
-    splits = _load_splits(cfg)
-    pool: DataPool | None = None
-    index: PoolIndex | None = None
-    if cfg.demo_k > 0:
-        clean = load_dataset(cfg.pool_clean, split_name="clean")
-        pool = build_pool(clean, cfg.pool_specs)
-        if cfg.demo_strategy == RETRIEVE_STRATEGY:
-            provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
-            index = PoolIndex(pool.select(cfg.demo_pool).examples, provider)
+    template = registry[cfg.template_id]
     labels = _collect_labels(cfg, splits, pool)
 
     model = cfg.model
@@ -306,23 +311,20 @@ def sweep_demo_count(cfg: RunConfig, ks: Sequence[int]) -> dict[int, EvalResult]
     if not ks:
         raise ConfigError("sweep needs at least one k")
     out = Path(cfg.out_dir)
-    shared_cache = cfg.cache_dir or str(out / "cache")
-    results: dict[int, EvalResult] = {}
-    for k in ks:
-        sub = replace(
-            cfg,
-            demo_k=k,
-            out_dir=str(out / f"k{k}"),
-            name=f"{cfg.name}_k{k}",
-            cache_dir=shared_cache,
-        )
-        results[k] = run_experiment(sub)
+    variants = {k: dict(demo_k=k, out_dir=str(out / f"k{k}"), name=f"{cfg.name}_k{k}") for k in ks}
+    results = _run_variants(cfg, variants)
     _write_sweep_table(out, results)
     return results
 
 
+def _run_variants(cfg: RunConfig, variants: Mapping[object, dict]) -> dict:
+    """Run replace(cfg, **changes) per key, sharing one response cache; all built first."""
+    shared_cache = cfg.cache_dir or str(Path(cfg.out_dir) / "cache")
+    subs = [replace(cfg, cache_dir=shared_cache, **changes) for changes in variants.values()]
+    return dict(zip(variants, _run(subs)))
+
+
 def _write_sweep_table(out: Path, results: Mapping[int, EvalResult]) -> None:
-    out.mkdir(parents=True, exist_ok=True)
     first = next(iter(results.values()))
     columns = list(first.per_group)
     header = ["k", *columns, "Overall"]
@@ -340,19 +342,12 @@ def compare_templates(cfg: RunConfig, template_ids: Sequence[str]) -> dict[str, 
     """One run per template with fixed seed and demo configuration."""
     if not template_ids:
         raise ConfigError("compare_templates needs at least one template id")
-    _template_registry(cfg, template_ids)
     out = Path(cfg.out_dir)
-    shared_cache = cfg.cache_dir or str(out / "cache")
-    results: dict[str, EvalResult] = {}
-    for tid in template_ids:
-        sub = replace(
-            cfg,
-            template_id=tid,
-            out_dir=str(out / f"tmpl_{tid}"),
-            name=tid,
-            cache_dir=shared_cache,
-        )
-        results[tid] = run_experiment(sub)
+    variants = {
+        tid: dict(template_id=tid, out_dir=str(out / f"tmpl_{tid}"), name=tid)
+        for tid in template_ids
+    }
+    results = _run_variants(cfg, variants)
     render_report(results, out_dir=out)
     return results
 

@@ -260,6 +260,27 @@ class TestSweepAndTemplates:
         assert out.splitlines()[0].startswith("k\t")
         assert len(out.splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "ks, named", [("1,x", "'x'"), ("0,2.5", "'2.5'"), ("0,2,0", "repeated k 0")]
+    )
+    def test_sweep_bad_ks_exit_2_naming_value(self, tmp_path, capsys, ks, named):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "sweep"))
+        assert run_cli("sweep", "--config", str(config), "--ks", ks) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
+    # Every sub-config is built before the first sub-run, so a later bad k
+    # leaves no earlier k's directory and no shared cache behind.
+    @pytest.mark.parametrize(
+        "overrides, ks, named",
+        [({"pool_clean": "", "demo_k": 0}, "0,5", "pool_clean"), ({}, "1,-2", "demo_k")],
+    )
+    def test_sweep_later_bad_k_fails_before_any_run(self, tmp_path, capsys, overrides, ks, named):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "sweep"), **overrides)
+        assert run_cli("sweep", "--config", str(config), "--ks", ks) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_templates_list(self, capsys):
         assert run_cli("templates", "--list") == 0
         out = capsys.readouterr().out
@@ -278,6 +299,16 @@ class TestSweepAndTemplates:
         assert code == 2
         assert "bogus" in capsys.readouterr().err
         assert not list(tmp_path.glob("cmp/tmpl_*"))
+
+    def test_templates_unknown_baseline_fails_before_any_run(self, tmp_path, capsys):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
+        code = run_cli(
+            "templates", "--config", str(config), "--ids", "t1_english,t2_concise",
+            "--baseline", "nope",
+        )
+        assert code == 2
+        assert "'nope'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestScoreAndReport:
@@ -376,3 +407,14 @@ class TestScoreAndReport:
         out = capsys.readouterr().out
         assert "runA" in out and "runB" in out
         assert "(+0.0)" in out
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [("{not json", "JSONDecodeError"), ('{"name": "x"}', "KeyError('result')")],
+    )
+    def test_report_on_malformed_result_exits_1_naming_path(self, tmp_path, capsys, text, named):
+        bad = tmp_path / "result.json"
+        bad.write_text(text, encoding="utf-8")
+        assert run_cli("report", str(bad)) == 1
+        err = capsys.readouterr().err
+        assert str(bad) in err and named in err

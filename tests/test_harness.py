@@ -23,7 +23,7 @@ from slotnoise.corpus import (
     load_dataset,
     save_dataset,
 )
-from slotnoise.demos import embed
+from slotnoise.demos import PoolIndex, embed
 from slotnoise.errors import ConfigError, HarnessError
 from slotnoise.perturb import PerturbationSpec
 from slotnoise.pools import build_pool
@@ -436,6 +436,48 @@ class TestCompareTemplates:
         results = compare_templates(cfg, ["t1_english", "t2_concise", "t3_chinese"])
         rows = {tid: r.per_group for tid, r in results.items()}
         assert rows["t1_english"] == rows["t2_concise"] == rows["t3_chinese"]
+
+
+class TestPrepareOnce:
+    """A sweep or a template comparison prepares one input for all its sub-runs."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch) -> Counter:
+        calls: Counter = Counter()
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key(*args, **kwargs)] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, key in [
+            ("load_dataset", lambda path, split_name="": ("load", str(path), split_name)),
+            ("build_pool", lambda *a: "build_pool"),
+            ("bundled_registry", lambda: "registry"),
+        ]:
+            monkeypatch.setattr(harness_mod, name, counted(key, getattr(harness_mod, name)))
+        monkeypatch.setattr(
+            PoolIndex, "__init__", counted(lambda *a: "PoolIndex", PoolIndex.__init__)
+        )
+        return calls
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda cfg: sweep_demo_count(cfg, [0, 1, 5, 10]),
+            lambda cfg: compare_templates(cfg, ["t1_english", "t2_concise", "t3_chinese"]),
+        ],
+        ids=["sweep", "templates"],
+    )
+    def test_pool_index_registry_and_splits_built_once(self, tmp_path, calls, run):
+        cfg = base_config(tmp_path, demo_strategy="retrieve", out_dir=str(tmp_path / "multi"))
+        run(cfg)
+        expected = {("load", path, group): 1 for group, path in cfg.test_splits}
+        expected[("load", cfg.pool_clean, "clean")] = 1
+        expected.update(build_pool=1, PoolIndex=1, registry=1)
+        assert dict(calls) == expected
 
 
 class TestRenderReport:
