@@ -11,68 +11,45 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus, harness, perturb, pools
-from .demos import build_entity_demos, build_instance_demos
+from . import corpus, demos, harness, perturb, pools, scorer
 from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
 from .scorer import MatchCounts, aggregate, score_example
 
-KIND_ALIASES = {
-    "typos": perturb.CHAR_TYPOS,
-    "char_typos": perturb.CHAR_TYPOS,
-    "speech": perturb.WORD_HOMOPHONE,
-    "word_homophone": perturb.WORD_HOMOPHONE,
-    "homophone": perturb.WORD_HOMOPHONE,
-    "delete": perturb.WORD_DELETE,
-    "word_delete": perturb.WORD_DELETE,
-    "insert": perturb.WORD_INSERT,
-    "word_insert": perturb.WORD_INSERT,
-    "appendirr": perturb.APPEND_IRR,
-    "append_irr": perturb.APPEND_IRR,
-    "paraphrase": perturb.PARAPHRASE,
-    "composite": perturb.COMPOSITE,
-}
 
-
-def _resolve_kind(name: str) -> str:
-    kind = KIND_ALIASES.get(name.strip().lower())
-    if kind is None:
-        raise ConfigError(f"unknown perturbation kind: {name!r}")
-    return kind
-
-
-def _spec_assets(args: argparse.Namespace) -> dict:
+def _spec(args: argparse.Namespace, kind: str, seed: int) -> perturb.PerturbationSpec:
+    """A spec of kind holding only the asset flag its operator reads."""
     flags = {
         "homophone_lexicon": args.homophones,
         "sentence_pool": args.sentences,
         "insert_vocab": args.vocab,
         "paraphrase_provider": args.paraphrase_provider,
     }
-    return {key: value for key, value in flags.items() if value}
+    key = perturb.asset_key(kind)
+    assets = {key: flags[key]} if key and flags[key] else {}
+    return perturb.PerturbationSpec(kind=kind, p=args.p, seed=seed, assets=assets)
 
 
 def _member_specs(args: argparse.Namespace, seed_tag: str) -> list[perturb.PerturbationSpec]:
     """One spec per --members kind, seeded from --seed and '<seed_tag>:<kind>'."""
-    assets = _spec_assets(args)
-    specs = []
+    kinds: list[str] = []
     for name in args.members.split(","):
         if not name.strip():
             continue
-        kind = _resolve_kind(name)
+        kind = perturb.kind_from_name(name)
         if kind == perturb.COMPOSITE:
             raise ConfigError("composite members must not be composites")
-        seed = perturb.derive_seed(args.seed, f"{seed_tag}:{kind}")
-        specs.append(perturb.PerturbationSpec(kind=kind, p=args.p, seed=seed, assets=assets))
-    return specs
+        if kind in kinds:
+            raise ConfigError(f"--members: {name.strip()!r} repeats kind {kind}")
+        kinds.append(kind)
+    return [_spec(args, k, perturb.derive_seed(args.seed, f"{seed_tag}:{k}")) for k in kinds]
 
 
 def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
-    kind = _resolve_kind(args.kind)
+    kind = perturb.kind_from_name(args.kind)
     if kind != perturb.COMPOSITE:
-        return perturb.PerturbationSpec(
-            kind=kind, p=args.p, seed=args.seed, assets=_spec_assets(args)
-        )
+        return _spec(args, kind, args.seed)
     members = _member_specs(args, "member")
     if not members:
         raise ConfigError("composite kind requires --members")
@@ -115,16 +92,16 @@ def cmd_demo_preview(args: argparse.Namespace) -> int:
     pool = pools.build_pool(clean, specs)
     labels = pool.clean.labels
     for ex in list(test)[: args.count]:
-        if args.mode == "entity":
-            demos = build_entity_demos(
+        if args.mode == demos.ENTITY_MODE:
+            selected = demos.build_entity_demos(
                 ex, pool, args.pool_label, labels, args.strategy, args.seed
             )
         else:
-            demos = build_instance_demos(
+            selected = demos.build_instance_demos(
                 ex, pool, args.pool_label, args.strategy, args.k, args.seed
             )
         print(f"# {ex.id}: {ex.utterance}")
-        print(demos.text())
+        print(selected.text())
         print()
     return 0
 
@@ -164,7 +141,7 @@ def cmd_templates(args: argparse.Namespace) -> int:
     if not args.config or not args.ids:
         raise ConfigError("templates requires --config and --ids (or --list)")
     cfg = harness.RunConfig.from_json(args.config)
-    ids = [t for t in args.ids.split(",") if t.strip()]
+    ids = [t.strip() for t in args.ids.split(",") if t.strip()]
     if args.baseline is not None and args.baseline not in ids:
         raise ConfigError(f"--baseline {args.baseline!r} is not one of --ids")
     results = harness.compare_templates(cfg, ids)
@@ -267,9 +244,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("demo-preview", help="print demonstrations for the first examples")
     p.add_argument("--in", dest="in_path", required=True, help="test dataset path")
     p.add_argument("--clean", required=True, help="clean pool dataset path")
-    p.add_argument("--mode", choices=("entity", "instance"), default="instance")
-    p.add_argument("--strategy", choices=("random", "retrieve"), default="random")
-    p.add_argument("--pool-label", choices=("clean", "augment", "mixed"), default="clean")
+    p.add_argument("--mode", choices=demos.MODES, default=demos.INSTANCE_MODE)
+    p.add_argument("--strategy", choices=demos.STRATEGIES, default=demos.RANDOM_STRATEGY)
+    p.add_argument("--pool-label", choices=pools.POOL_LABELS, default="clean")
     p.add_argument("--k", type=int, default=3)
     p.add_argument("--count", type=int, default=3, help="test examples to preview")
     _add_spec_flags(p)
@@ -296,7 +273,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--gold", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--groups", required=True)
-    p.add_argument("--mode", choices=("text_match", "strict_span"), default="text_match")
+    p.add_argument("--mode", choices=scorer.MODES, default=scorer.TEXT_MATCH)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("report", help="render report tables from stored results")

@@ -95,7 +95,10 @@ class LabelSet:
     @classmethod
     def load(cls, path: str | Path) -> "LabelSet":
         """Read one label per line; blank lines are ignored."""
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError(f"label file not found: {path}")
+        lines = path.read_text(encoding="utf-8").splitlines()
         return cls(tuple(line.strip() for line in lines if line.strip()))
 
 
@@ -183,30 +186,25 @@ class Dataset:
     examples: tuple[LabeledExample, ...]
     labels: LabelSet
     split_name: str = ""
-    _by_id: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
-        index: dict[str, LabeledExample] = {}
+        seen: set[str] = set()
         for ex in self.examples:
-            if ex.id in index:
+            if ex.id in seen:
                 raise DataError(f"duplicate example id: {ex.id!r}")
             for span in ex.spans:
                 if span.slot_type not in self.labels:
                     raise DataError(
                         f"example {ex.id!r}: slot type {span.slot_type!r} not in label set"
                     )
-            index[ex.id] = ex
-        object.__setattr__(self, "_by_id", index)
+            seen.add(ex.id)
 
     def __iter__(self) -> Iterator[LabeledExample]:
         return iter(self.examples)
 
     def __len__(self) -> int:
         return len(self.examples)
-
-    def by_id(self, ex_id: str) -> LabeledExample:
-        return self._by_id[ex_id]
 
 
 def provenance_to_str(tags: Sequence[str]) -> str:

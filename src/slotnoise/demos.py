@@ -106,14 +106,6 @@ def embed(text: str, provider: EmbeddingProvider | None = None) -> np.ndarray:
     return _embed_texts([text], provider, {})[0]
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(np.dot(a, b) / (na * nb))
-
-
 class PoolIndex:
     """The candidates of one pool, embedded once for similarity ranking.
 

@@ -134,9 +134,7 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _collect_labels(cfg: RunConfig, splits: Sequence[tuple[str, Dataset]], pool: DataPool | None) -> LabelSet:
-    if cfg.labels_path:
-        return LabelSet.load(cfg.labels_path)
+def _observed_labels(splits: Sequence[tuple[str, Dataset]], pool: DataPool | None) -> LabelSet:
     examples: list[LabeledExample] = []
     if pool is not None:
         examples.extend(pool.mixed.examples)
@@ -170,14 +168,16 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
 def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
     """Run variants of one config that differ only in demo_k, template_id and out paths.
 
-    They share the template registry, splits, pool and index, all loaded before the
-    first write. A variant with demo_k 0 gets no pool, so its labels are the splits'.
+    They share the template registry, label file, splits, pool and index, all loaded
+    before the first write. Without a label file a variant's labels are those observed
+    in the splits and its pool; a variant with demo_k 0 gets no pool.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
     unknown = [sub.template_id for sub in subs if sub.template_id not in registry]
     if unknown:
         raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
+    labels = LabelSet.load(cfg.labels_path) if cfg.labels_path else None
     splits = [(group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits]
     pool = index = None
     if any(sub.demo_k > 0 for sub in subs):
@@ -186,12 +186,16 @@ def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
         if cfg.demo_strategy == RETRIEVE_STRATEGY:
             provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
             index = PoolIndex(pool.select(cfg.demo_pool).examples, provider)
-    return [_execute(sub, registry, splits, pool if sub.demo_k else None, index) for sub in subs]
+    return [
+        _execute(sub, registry, labels, splits, pool if sub.demo_k else None, index)
+        for sub in subs
+    ]
 
 
 def _execute(
     cfg: RunConfig,
     registry: Mapping[str, PromptTemplate],
+    labels: LabelSet | None,
     splits: Sequence[tuple[str, Dataset]],
     pool: DataPool | None,
     index: PoolIndex | None,
@@ -203,7 +207,8 @@ def _execute(
         encoding="utf-8",
     )
     template = registry[cfg.template_id]
-    labels = _collect_labels(cfg, splits, pool)
+    if labels is None:
+        labels = _observed_labels(splits, pool)
 
     model = cfg.model
     if model.kind == NOISY_ORACLE and not model.labels:

@@ -7,6 +7,7 @@ seeded with hash(spec.seed, example.id), so dataset-level perturbation is
 reproducible regardless of iteration order or parallelism. Operators read
 their asset already loaded: apply_perturbation and perturb_dataset (and
 pools.build_pool) load each spec's assets once per call via resolve_assets.
+Each kind's operator, composite level, names and asset are stated once, in _TABLE.
 
 Gold spans are remapped alongside the token edits. Char-level and homophone
 edits never move token indices; deletions shrink or drop spans; insertions
@@ -35,44 +36,6 @@ APPEND_IRR = "append_irr"
 PARAPHRASE = "paraphrase"
 COMPOSITE = "composite"
 
-KINDS = (
-    CHAR_TYPOS,
-    WORD_HOMOPHONE,
-    WORD_DELETE,
-    WORD_INSERT,
-    APPEND_IRR,
-    PARAPHRASE,
-    COMPOSITE,
-)
-
-# Canonical application order inside composites: sentence -> word -> char.
-_LEVEL = {
-    APPEND_IRR: 0,
-    PARAPHRASE: 0,
-    WORD_HOMOPHONE: 1,
-    WORD_DELETE: 1,
-    WORD_INSERT: 1,
-    CHAR_TYPOS: 2,
-}
-
-DISPLAY_NAMES = {
-    CHAR_TYPOS: "Typos",
-    WORD_HOMOPHONE: "Speech",
-    WORD_DELETE: "WordDelete",
-    WORD_INSERT: "WordInsert",
-    APPEND_IRR: "AppendIrr",
-    PARAPHRASE: "Paraphrase",
-}
-
-_ABBREV = {
-    CHAR_TYPOS: "Typ",
-    WORD_HOMOPHONE: "Spe",
-    WORD_DELETE: "Del",
-    WORD_INSERT: "Ins",
-    APPEND_IRR: "App",
-    PARAPHRASE: "Par",
-}
-
 # Fixed headers for the standard mixed-perturbation composites.
 _COMPOSITE_NAMES = {
     frozenset({WORD_HOMOPHONE, CHAR_TYPOS}): "Spe+Typ",
@@ -97,7 +60,8 @@ class PerturbationSpec:
     sequence of sentences for the append pool, or a provider name, URL or
     callable for paraphrasing; resolve_assets loads them. A composite spec
     holds only its members, which apply in canonical sentence -> word -> char
-    order with their own p, seed and assets.
+    order with their own p, seed and assets. Each kind takes only the one
+    asset its operator reads.
     """
 
     kind: str
@@ -121,8 +85,12 @@ class PerturbationSpec:
             for member in self.members:
                 if member.kind == COMPOSITE:
                     raise ConfigError("composite members must not be composites")
-        elif self.members:
+            return
+        if self.members:
             raise ConfigError(f"{self.kind} spec must not have members")
+        for key in self.assets:
+            if key != _TABLE[self.kind].asset:
+                raise ConfigError(f"{self.kind} spec reads no asset {key!r}")
 
 
 @dataclass(frozen=True)
@@ -206,8 +174,6 @@ def perturb_char_typos(
     tokens are never deleted to empty); token count and span indices never
     change, so every edited token sits at edit distance 1 from its original.
     """
-    if spec.kind != CHAR_TYPOS:
-        raise ConfigError(f"expected {CHAR_TYPOS} spec, got {spec.kind}")
     rng = _rng(spec, ex)
     out: list[str] = []
     edited = 0
@@ -227,8 +193,6 @@ def perturb_word_homophone(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Replace lexicon-covered tokens with a uniform homophone with prob p."""
-    if spec.kind != WORD_HOMOPHONE:
-        raise ConfigError(f"expected {WORD_HOMOPHONE} spec, got {spec.kind}")
     lexicon = spec.assets["homophone_lexicon"]
     rng = _rng(spec, ex)
     out: list[str] = []
@@ -285,8 +249,6 @@ def perturb_word_delete(
     Spans are remapped over the surviving tokens: a span shrinks when some of
     its tokens are deleted and is dropped when all of them are.
     """
-    if spec.kind != WORD_DELETE:
-        raise ConfigError(f"expected {WORD_DELETE} spec, got {spec.kind}")
     if len(ex.tokens) < 2:
         report = PerturbationReport(
             eligible_tokens=len(ex.tokens),
@@ -317,8 +279,6 @@ def perturb_word_insert(
     Gaps strictly inside a span are never used, so span contents are
     preserved exactly and spans only shift.
     """
-    if spec.kind != WORD_INSERT:
-        raise ConfigError(f"expected {WORD_INSERT} spec, got {spec.kind}")
     vocab = spec.assets["insert_vocab"]
     rng = _rng(spec, ex)
     n = len(ex.tokens)
@@ -356,8 +316,6 @@ def perturb_append_irr(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Append one irrelevant pool sentence with prob p; spans are untouched."""
-    if spec.kind != APPEND_IRR:
-        raise ConfigError(f"expected {APPEND_IRR} spec, got {spec.kind}")
     pool = spec.assets["sentence_pool"]
     rng = _rng(spec, ex)
     if rng.random() >= spec.p:
@@ -396,8 +354,6 @@ def perturb_paraphrase(
     in the rewritten token stream. If any surface cannot be found verbatim
     the paraphrase is rejected and the example passes through unchanged.
     """
-    if spec.kind != PARAPHRASE:
-        raise ConfigError(f"expected {PARAPHRASE} spec, got {spec.kind}")
     new_text = spec.assets["paraphrase_provider"](ex.utterance)
     new_tokens = tuple(new_text.split())
     if new_tokens == ex.tokens:
@@ -475,14 +431,54 @@ def _load_paraphraser(value: object, examples) -> ParaphraseProvider:
     raise ConfigError(f"unknown paraphrase provider: {name!r}")
 
 
-# The asset each operator reads from PerturbationSpec.assets, and its loader.
-_ASSET_LOADERS = {
-    WORD_HOMOPHONE: ("homophone_lexicon", _load_lexicon),
-    APPEND_IRR: ("sentence_pool", _load_sentences),
-    WORD_INSERT: ("insert_vocab", _load_vocab),
-    PARAPHRASE: ("paraphrase_provider", _load_paraphraser),
+@dataclass(frozen=True)
+class _Kind:
+    """One non-composite kind: its operator, composite level, names and asset."""
+
+    operator: Callable  # (example, spec) -> (example, PerturbationReport)
+    level: int  # application order inside composites: sentence 0 -> word 1 -> char 2
+    display: str  # report column
+    abbrev: str  # member name in a non-standard composite's column
+    aliases: tuple[str, ...] = ()  # CLI names besides the kind itself
+    asset: str | None = None  # the one PerturbationSpec.assets key the operator reads
+    load: Callable[[object, Sequence[LabeledExample]], object] | None = None
+
+
+_TABLE = {
+    CHAR_TYPOS: _Kind(perturb_char_typos, 2, "Typos", "Typ", ("typos",)),
+    WORD_HOMOPHONE: _Kind(
+        perturb_word_homophone, 1, "Speech", "Spe", ("speech", "homophone"),
+        "homophone_lexicon", _load_lexicon,
+    ),
+    WORD_DELETE: _Kind(perturb_word_delete, 1, "WordDelete", "Del", ("delete",)),
+    WORD_INSERT: _Kind(
+        perturb_word_insert, 1, "WordInsert", "Ins", ("insert",), "insert_vocab", _load_vocab
+    ),
+    APPEND_IRR: _Kind(
+        perturb_append_irr, 0, "AppendIrr", "App", ("appendirr",), "sentence_pool", _load_sentences
+    ),
+    PARAPHRASE: _Kind(
+        perturb_paraphrase, 0, "Paraphrase", "Par", (), "paraphrase_provider", _load_paraphraser
+    ),
 }
-ASSET_KEYS = tuple(key for key, _ in _ASSET_LOADERS.values())
+KINDS = (*_TABLE, COMPOSITE)
+ASSET_KEYS = tuple(entry.asset for entry in _TABLE.values() if entry.asset)
+
+
+def kind_from_name(name: str) -> str:
+    """The kind a user-facing name denotes: a kind or an alias, in any case."""
+    key = name.strip().lower()
+    if key in KINDS:
+        return key
+    for kind, entry in _TABLE.items():
+        if key in entry.aliases:
+            return kind
+    raise ConfigError(f"unknown perturbation kind: {name!r}")
+
+
+def asset_key(kind: str) -> str | None:
+    """The one assets key a non-composite kind's operator reads, if any."""
+    return _TABLE[kind].asset
 
 
 def resolve_assets(
@@ -501,15 +497,15 @@ def resolve_assets(
     def resolve(spec: PerturbationSpec) -> PerturbationSpec:
         if spec.kind == COMPOSITE:
             return replace(spec, members=tuple(map(resolve, spec.members)))
-        if spec.kind not in _ASSET_LOADERS:
+        entry = _TABLE[spec.kind]
+        if entry.asset is None:
             return spec
-        key, load = _ASSET_LOADERS[spec.kind]
-        value = spec.assets.get(key)
+        value = spec.assets.get(entry.asset)
         # An in-memory value is keyed by identity; the specs keep it alive.
-        memo = (key, value if value is None or isinstance(value, str) else id(value))
+        memo = (entry.asset, value if value is None or isinstance(value, str) else id(value))
         if memo not in loaded:
-            loaded[memo] = load(value, examples)
-        return replace(spec, assets={**spec.assets, key: loaded[memo]})
+            loaded[memo] = entry.load(value, examples)
+        return replace(spec, assets={entry.asset: loaded[memo]})
 
     return [resolve(spec) for spec in specs]
 
@@ -522,7 +518,7 @@ def compose(specs: Sequence[PerturbationSpec]) -> PerturbationSpec:
 def canonical_member_order(
     members: Sequence[PerturbationSpec],
 ) -> tuple[PerturbationSpec, ...]:
-    return tuple(sorted(members, key=lambda m: _LEVEL[m.kind]))
+    return tuple(sorted(members, key=lambda m: _TABLE[m.kind].level))
 
 
 def apply_composite(
@@ -533,27 +529,20 @@ def apply_composite(
         raise ConfigError(f"expected {COMPOSITE} spec, got {spec.kind}")
     report = PerturbationReport()
     for member in canonical_member_order(spec.members):
-        ex, member_report = _OPERATORS[member.kind](ex, member)
+        ex, member_report = _TABLE[member.kind].operator(ex, member)
         report = report.merged(member_report)
     return ex, report
 
 
-_OPERATORS: dict[str, Callable] = {
-    CHAR_TYPOS: perturb_char_typos,
-    WORD_HOMOPHONE: perturb_word_homophone,
-    WORD_DELETE: perturb_word_delete,
-    WORD_INSERT: perturb_word_insert,
-    APPEND_IRR: perturb_append_irr,
-    PARAPHRASE: perturb_paraphrase,
-    COMPOSITE: apply_composite,
-}
+def _operator(spec: PerturbationSpec) -> Callable:
+    return apply_composite if spec.kind == COMPOSITE else _TABLE[spec.kind].operator
 
 
 def perturb_examples(
     examples: Iterable[LabeledExample], spec: PerturbationSpec
 ) -> Iterator[tuple[LabeledExample, PerturbationReport]]:
     """Apply a spec that resolve_assets returned to each example in turn."""
-    operator = _OPERATORS[spec.kind]
+    operator = _operator(spec)
     return (operator(ex, spec) for ex in examples)
 
 
@@ -561,7 +550,7 @@ def apply_perturbation(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     (spec,) = resolve_assets([spec], (ex,))
-    return _OPERATORS[spec.kind](ex, spec)
+    return _operator(spec)(ex, spec)
 
 
 def perturb_dataset(
@@ -587,11 +576,11 @@ def kind_token(spec: PerturbationSpec) -> str:
 def display_name(spec: PerturbationSpec) -> str:
     """Human-facing column name for a perturbation."""
     if spec.kind != COMPOSITE:
-        return DISPLAY_NAMES[spec.kind]
+        return _TABLE[spec.kind].display
     key = frozenset(m.kind for m in spec.members)
     if key in _COMPOSITE_NAMES:
         return _COMPOSITE_NAMES[key]
-    return "+".join(_ABBREV[m.kind] for m in canonical_member_order(spec.members))
+    return "+".join(_TABLE[m.kind].abbrev for m in canonical_member_order(spec.members))
 
 
 def spec_to_dict(spec: PerturbationSpec) -> dict:

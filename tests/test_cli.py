@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 from pathlib import Path
 
 import pytest
 
 from slotnoise.cli import main
 from slotnoise.corpus import load_dataset
+from slotnoise.pools import build_pool, load_pool_manifest, save_pool
 
 from conftest import DATA_DIR, SINGLE_SPLITS
 from httpfake import Reply
@@ -84,6 +86,17 @@ class TestAugment:
         assert code == 2
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("members", ["typos,typos", "typos,char_typos"])
+    def test_repeated_member_kind_exits_2_naming_it(self, tmp_path, capsys, members):
+        out = tmp_path / "mix.jsonl"
+        code = run_cli(
+            "augment", "--in", CLEAN, "--out", str(out),
+            "--kind", "composite", "--members", members,
+        )
+        assert code == 2
+        assert "repeats kind char_typos" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refuses_to_overwrite_input(self, tmp_path):
         code = run_cli("augment", "--in", CLEAN, "--out", CLEAN, "--kind", "typos")
         assert code == 2
@@ -104,6 +117,32 @@ class TestPool:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["specs"]) == 2
         assert len(load_dataset(out / "augmented.jsonl")) == 60
+
+    def test_repeated_member_kind_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "pool"
+        assert run_cli("pool", "--in", CLEAN, "--out", str(out), "--members", "speech,homophone") == 2
+        assert "repeats kind word_homophone" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_asset_flag_goes_only_to_the_kind_reading_it(self, tmp_path):
+        lexicon = tmp_path / "homophones.txt"
+        lexicon.write_text("play\tpleigh\n", encoding="utf-8")
+        out = tmp_path / "pool"
+        code = run_cli(
+            "pool", "--in", CLEAN, "--out", str(out), "--members", "typos,speech",
+            "--homophones", str(lexicon), "--sentences", str(tmp_path / "unused.txt"),
+        )
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [spec.get("assets") for spec in manifest["specs"]] == [
+            None, {"homophone_lexicon": str(lexicon)}
+        ]
+        # The manifest loads and rebuilds the same pool.
+        specs = load_pool_manifest(out)
+        rebuilt = build_pool(load_dataset(CLEAN, split_name="clean"), specs)
+        save_pool(rebuilt, tmp_path / "rebuilt", specs)
+        for name in ("augmented.jsonl", "manifest.json"):
+            assert (tmp_path / "rebuilt" / name).read_bytes() == (out / name).read_bytes()
 
 
 class TestDemoPreview:
@@ -242,6 +281,26 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 
+    def test_asset_the_kind_does_not_read_exits_2_before_any_write(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        spec = {"kind": "char_typos", "p": 0.3, "seed": 1, "assets": {"homophone_lexicon": "/no/such/file"}}
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[spec])
+        assert run_cli("eval", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert "'homophone_lexicon'" in err and "char_typos" in err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("command", [["eval"], ["sweep", "--ks", "0,2"]])
+    def test_missing_labels_file_exits_2_before_any_write(self, tmp_path, capsys, command):
+        cache = tmp_path / "cache"
+        missing = tmp_path / "no_labels.txt"
+        config = eval_config(tmp_path, cache_dir=str(cache), labels_path=str(missing))
+        assert run_cli(command[0], "--config", str(config), *command[1:]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         config = eval_config(tmp_path)
         payload = json.loads(config.read_text(encoding="utf-8"))
@@ -292,6 +351,15 @@ class TestSweepAndTemplates:
         assert code == 0
         out = capsys.readouterr().out
         assert "t1_english" in out and "t2_concise" in out
+
+    def test_templates_ids_tolerate_spaces(self, tmp_path):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
+        assert run_cli("templates", "--config", str(config), "--ids", "t1_english,t2_concise") == 0
+        unspaced = file_hashes(tmp_path / "cmp")
+        shutil.rmtree(tmp_path / "cmp")
+        spaced = " t1_english, t2_concise "
+        assert run_cli("templates", "--config", str(config), "--ids", spaced) == 0
+        assert file_hashes(tmp_path / "cmp") == unspaced
 
     def test_templates_unknown_id_fails_before_any_run(self, tmp_path, capsys):
         config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))

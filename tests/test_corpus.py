@@ -40,6 +40,12 @@ class TestTypes:
         with pytest.raises(DataError):
             LabelSet(("a\nb",))
 
+    def test_labelset_load_of_missing_file_names_the_path(self, tmp_path):
+        missing = tmp_path / "labels.txt"
+        with pytest.raises(ConfigError, match="label file not found") as excinfo:
+            LabelSet.load(missing)
+        assert str(missing) in str(excinfo.value)
+
     def test_labelset_order_stable(self):
         labels = LabelSet(("b", "a", "c"))
         assert list(labels) == ["b", "a", "c"]

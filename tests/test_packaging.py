@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from slotnoise import perturb
+
 from conftest import DATA_DIR, ROOT
 
 
@@ -39,3 +41,11 @@ def test_make_splits_reproduces_the_bundled_data(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == bundled
     for name in bundled:
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
+
+
+def test_readme_names_every_perturbation_name():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = [perturb.COMPOSITE]
+    for kind, entry in perturb._TABLE.items():
+        names.extend((kind, *entry.aliases))
+    assert [name for name in names if f"`{name}`" not in readme] == []

@@ -67,6 +67,21 @@ class TestSpec:
         with pytest.raises(ConfigError, match=repr(next(iter(field)))):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            (perturb.CHAR_TYPOS, "homophone_lexicon"),
+            (perturb.WORD_DELETE, "insert_vocab"),
+            (perturb.WORD_HOMOPHONE, "sentence_pool"),
+            (perturb.APPEND_IRR, "paraphrase_provider"),
+        ],
+    )
+    def test_spec_takes_only_the_asset_its_kind_reads(self, kind, key):
+        with pytest.raises(ConfigError, match=f"{kind} spec reads no asset {key!r}"):
+            spec(kind, **{key: "x"})
+        with pytest.raises(ConfigError, match=repr(key)):
+            spec_from_dict({"kind": kind, "assets": {key: "x"}})
+
     def test_composite_dict_has_only_kind_and_members(self):
         composite = compose([spec(perturb.CHAR_TYPOS, p=0.3, seed=1)])
         assert spec_to_dict(composite) == {
