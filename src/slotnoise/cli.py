@@ -18,17 +18,31 @@ from .prompts import bundled_registry
 from .scorer import MatchCounts, aggregate, score_example
 
 
+# PerturbationSpec.assets key -> the argparse dest of the flag giving it
+_ASSET_FLAGS = {
+    "homophone_lexicon": "homophones",
+    "sentence_pool": "sentences",
+    "insert_vocab": "vocab",
+    "paraphrase_provider": "paraphrase_provider",
+}
+
+
 def _spec(args: argparse.Namespace, kind: str, seed: int) -> perturb.PerturbationSpec:
     """A spec of kind holding only the asset flag its operator reads."""
-    flags = {
-        "homophone_lexicon": args.homophones,
-        "sentence_pool": args.sentences,
-        "insert_vocab": args.vocab,
-        "paraphrase_provider": args.paraphrase_provider,
-    }
     key = perturb.asset_key(kind)
-    assets = {key: flags[key]} if key and flags[key] else {}
+    value = getattr(args, _ASSET_FLAGS[key]) if key else ""
+    assets = {key: value} if value else {}
     return perturb.PerturbationSpec(kind=kind, p=args.p, seed=seed, assets=assets)
+
+
+def _check_asset_flags(args: argparse.Namespace, kinds: list[str]) -> None:
+    """Reject an asset flag that none of the kinds built reads."""
+    read = {perturb.asset_key(kind) for kind in kinds}
+    for key, dest in _ASSET_FLAGS.items():
+        if getattr(args, dest) and key not in read:
+            flag = "--" + dest.replace("_", "-")
+            built = ", ".join(kinds) or "no kind"
+            raise ConfigError(f"{flag} is read by none of the kinds built ({built})")
 
 
 def _member_specs(args: argparse.Namespace, seed_tag: str) -> list[perturb.PerturbationSpec]:
@@ -43,12 +57,14 @@ def _member_specs(args: argparse.Namespace, seed_tag: str) -> list[perturb.Pertu
         if kind in kinds:
             raise ConfigError(f"--members: {name.strip()!r} repeats kind {kind}")
         kinds.append(kind)
+    _check_asset_flags(args, kinds)
     return [_spec(args, k, perturb.derive_seed(args.seed, f"{seed_tag}:{k}")) for k in kinds]
 
 
 def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
     kind = perturb.kind_from_name(args.kind)
     if kind != perturb.COMPOSITE:
+        _check_asset_flags(args, [kind])
         return _spec(args, kind, args.seed)
     members = _member_specs(args, "member")
     if not members:
@@ -142,10 +158,11 @@ def cmd_templates(args: argparse.Namespace) -> int:
         raise ConfigError("templates requires --config and --ids (or --list)")
     cfg = harness.RunConfig.from_json(args.config)
     ids = [t.strip() for t in args.ids.split(",") if t.strip()]
-    if args.baseline is not None and args.baseline not in ids:
-        raise ConfigError(f"--baseline {args.baseline!r} is not one of --ids")
+    baseline = args.baseline.strip() if args.baseline is not None else None
+    if baseline is not None and baseline not in ids:
+        raise ConfigError(f"--baseline {baseline!r} is not one of --ids")
     results = harness.compare_templates(cfg, ids)
-    print(harness.render_report(results, baseline=args.baseline), end="")
+    print(harness.render_report(results, baseline=baseline), end="")
     return 0
 
 
@@ -172,7 +189,6 @@ def _read_predictions(path: Path) -> dict[str, Prediction]:
             predictions[str(record["id"])] = Prediction(
                 pairs=pairs,
                 dropped_unknown_labels=int(record.get("dropped_unknown_labels", 0)),
-                raw=str(record.get("raw", "")),
             )
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise DataError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
@@ -201,7 +217,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
             result = harness.EvalResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise DataError(f"{path}: bad result file: {exc!r}") from exc
         name = str(payload.get("name", path.stem))
         if name in results:

@@ -13,7 +13,6 @@ exact top-k by cosine similarity, ties broken by ascending candidate id.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import random
 from dataclasses import dataclass
@@ -112,8 +111,7 @@ class PoolIndex:
     Holds the n x d matrix of candidate vectors (rows normalized by the code
     behind :func:`embed`), the candidates in pool order, the rows of the
     candidates bearing each slot label, and the trigram-bucket memo of the
-    local embedding. :meth:`for_label` returns a view sharing all of it that
-    ranks over one label's rows.
+    local embedding.
     """
 
     def __init__(
@@ -121,7 +119,6 @@ class PoolIndex:
     ):
         self.candidates = tuple(candidates)
         self.provider = provider
-        self.rows: np.ndarray | None = None  # None: every candidate
         self._buckets: dict[str, int] = {}
         self.matrix = _embed_texts(
             [c.utterance for c in self.candidates], provider, self._buckets
@@ -135,29 +132,36 @@ class PoolIndex:
         }
 
     def __len__(self) -> int:
-        return len(self.candidates) if self.rows is None else len(self.rows)
-
-    def for_label(self, name: str) -> PoolIndex:
-        """A view ranking only the candidates that bear a span of label name."""
-        view = copy.copy(self)
-        view.rows = self.label_rows[name]
-        return view
+        return len(self.candidates)
 
     def embed(self, text: str) -> np.ndarray:
         """text embedded as the candidates were, with the index's provider."""
         return _embed_texts([text], self.provider, self._buckets)[0]
 
-    def top_k(self, query: np.ndarray, k: int) -> list[LabeledExample]:
+    def top_k(
+        self,
+        query: np.ndarray,
+        k: int,
+        rows: np.ndarray | None = None,
+        scores: np.ndarray | None = None,
+    ) -> list[LabeledExample]:
         """The k candidates most similar to the embedded query, as
-        :func:`rank_by_similarity`."""
-        scores = self.matrix @ query if self.rows is None else self.matrix[self.rows] @ query
+        :func:`rank_by_similarity`, among rows (by default every candidate).
+
+        scores, when given, is ``matrix @ query``, so a caller ranking one
+        query over several row sets scores every candidate once.
+        """
+        if scores is None:
+            scores = self.matrix @ query
+        if rows is not None:
+            scores = scores[rows]
         if k < len(scores):
             kth = np.partition(scores, len(scores) - k)[len(scores) - k]
             shortlist = np.flatnonzero(scores >= kth - TIE_SLACK)
         else:
             shortlist = np.arange(len(scores))
-        if self.rows is not None:
-            shortlist = self.rows[shortlist]
+        if rows is not None:
+            shortlist = rows[shortlist]
         ranked = sorted(
             (-float(np.dot(query, self.matrix[i])), self.candidates[i].id, i)
             for i in shortlist.tolist()
@@ -170,16 +174,13 @@ def rank_by_similarity(
     candidates: Sequence[LabeledExample] | PoolIndex,
     k: int,
     provider: EmbeddingProvider | None = None,
-    query_vector: np.ndarray | None = None,
 ) -> list[LabeledExample]:
     """Top-k candidates by cosine similarity to the query utterance.
 
     candidates is a list of examples, embedded here with provider, or a
     :class:`PoolIndex`, which ranks with the provider it was built with.
-    query_vector, when given, is the query utterance as embedded by that
-    index (:meth:`PoolIndex.embed`), so a caller ranking one query against
-    several views embeds it once. Ties break by ascending candidate id, so
-    the result is independent of the candidate order.
+    Ties break by ascending candidate id, so the result is independent of
+    the candidate order.
 
     One matrix-vector product scores every candidate. BLAS batching
     reassociates the sums, so those scores can differ from per-candidate dot
@@ -196,9 +197,7 @@ def rank_by_similarity(
         candidates = PoolIndex(candidates, provider)
     elif provider is not None and provider is not candidates.provider:
         raise ConfigError("an index ranks with the embedding provider it was built with")
-    if query_vector is None:
-        query_vector = candidates.embed(query.utterance)
-    return candidates.top_k(query_vector, k)
+    return candidates.top_k(candidates.embed(query.utterance), k)
 
 
 def entity_line(surface: str, label: str) -> str:
@@ -249,7 +248,7 @@ def _pool_index(index: PoolIndex | None, pool: DataPool, pool_label: str) -> Poo
     examples = pool.select(pool_label).examples
     if index is None:
         return PoolIndex(examples)
-    if index.rows is not None or index.candidates != examples:
+    if index.candidates != examples:
         raise ConfigError(f"demonstration index was not built over pool {pool_label!r}")
     return index
 
@@ -268,8 +267,8 @@ def build_entity_demos(
     random picks uniformly over (example, span) pairs of that label;
     retrieve takes the span from the label-bearing example most similar to
     the input utterance, ranked against index (by default a new index over
-    the pool with the local embedding). The input is embedded once for all
-    labels.
+    the pool with the local embedding). The input is embedded once and every
+    candidate scored once; each label's pick is the top-1 over its rows.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
@@ -288,15 +287,16 @@ def build_entity_demos(
             f"pool {pool_label!r} has no example for labels: {', '.join(missing)}"
         )
     rng = random.Random(seed)
-    query = index.embed(input_ex.utterance) if strategy == RETRIEVE_STRATEGY else None
+    if strategy == RETRIEVE_STRATEGY:
+        query = index.embed(input_ex.utterance)
+        scores = index.matrix @ query
     items: list[DemoItem] = []
     for name in labels:
         if strategy == RANDOM_STRATEGY:
             ex, span_idx = by_label[name][rng.randrange(len(by_label[name]))]
             span = ex.spans[span_idx]
         else:
-            view = index.for_label(name)
-            ex = rank_by_similarity(input_ex, view, k=1, query_vector=query)[0]
+            ex = index.top_k(query, 1, index.label_rows[name], scores)[0]
             span = next(s for s in ex.spans if s.slot_type == name)
         items.append(DemoItem(entity_line(ex.surface(span), name), (ex.id,)))
     return DemonstrationSet(

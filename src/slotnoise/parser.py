@@ -8,8 +8,7 @@ Three extraction passes are tried per line, in order:
 
 Labels match case-insensitively with spaces and underscores unified; pairs
 whose label is not in the label set are dropped and counted rather than
-coerced. Unparseable text yields an empty pair list with the raw generation
-retained.
+coerced. Unparseable text yields an empty pair list.
 """
 
 from __future__ import annotations
@@ -32,11 +31,10 @@ _SKIP_SURFACES = {"", "none", "no entities", "n/a"}
 
 @dataclass(frozen=True)
 class Prediction:
-    """Ordered predicted pairs plus the untouched raw generation."""
+    """Ordered predicted pairs plus the count of pairs dropped for an unknown label."""
 
     pairs: tuple[tuple[str, str], ...]
     dropped_unknown_labels: int
-    raw: str
 
 
 def normalize_surface(text: str) -> str:
@@ -96,4 +94,4 @@ def parse_predictions(text: str, labels: LabelSet) -> Prediction:
         for surface_text, label_text in _BRACKETED.findall(line):
             _emit(surface_text, label_text)
 
-    return Prediction(pairs=tuple(pairs), dropped_unknown_labels=dropped, raw=text)
+    return Prediction(pairs=tuple(pairs), dropped_unknown_labels=dropped)

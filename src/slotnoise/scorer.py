@@ -10,12 +10,13 @@ reports both micro and macro aggregation over the non-clean groups.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping
 
 from .corpus import LabeledExample, leftmost_match
 from .errors import DataError
 from .parser import Prediction, normalize_surface
+from .schema import scalars_from_dict
 
 TEXT_MATCH = "text_match"
 STRICT_SPAN = "strict_span"
@@ -67,58 +68,24 @@ class EvalResult:
     mode: str
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "per_example": [
-                {"id": e.id, "group": e.group, "tp": e.tp, "fp": e.fp, "fn": e.fn}
-                for e in self.per_example
-            ],
-            "per_group": {
-                name: {
-                    "tp": g.tp,
-                    "fp": g.fp,
-                    "fn": g.fn,
-                    "support": g.support,
-                    "precision": g.precision,
-                    "recall": g.recall,
-                    "f1": g.f1,
-                }
-                for name, g in self.per_group.items()
-            },
-            "overall": {
-                "micro_precision": self.overall.micro_precision,
-                "micro_recall": self.overall.micro_recall,
-                "micro_f1": self.overall.micro_f1,
-                "macro_f1": self.overall.macro_f1,
-            },
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "EvalResult":
-        per_example = tuple(
-            ExampleScore(str(e["id"]), str(e["group"]), int(e["tp"]), int(e["fp"]), int(e["fn"]))
-            for e in data["per_example"]
+        """The inverse of to_dict; an unknown or missing key raises ConfigError naming it."""
+        kwargs = scalars_from_dict(cls, data, "result")
+        return cls(
+            per_example=tuple(
+                ExampleScore(**scalars_from_dict(ExampleScore, e, "per_example"))
+                for e in data["per_example"]
+            ),
+            per_group={
+                str(name): GroupScore(**scalars_from_dict(GroupScore, g, "per_group"))
+                for name, g in data["per_group"].items()
+            },
+            overall=OverallScore(**scalars_from_dict(OverallScore, data["overall"], "overall")),
+            **kwargs,
         )
-        per_group = {
-            str(name): GroupScore(
-                tp=int(g["tp"]),
-                fp=int(g["fp"]),
-                fn=int(g["fn"]),
-                support=int(g["support"]),
-                precision=float(g["precision"]),
-                recall=float(g["recall"]),
-                f1=float(g["f1"]),
-            )
-            for name, g in data["per_group"].items()
-        }
-        o = data["overall"]
-        overall = OverallScore(
-            micro_precision=float(o["micro_precision"]),
-            micro_recall=float(o["micro_recall"]),
-            micro_f1=float(o["micro_f1"]),
-            macro_f1=float(o["macro_f1"]),
-        )
-        return cls(per_example, per_group, overall, str(data["mode"]))
 
 
 def gold_pairs(ex: LabeledExample) -> list[tuple[str, str]]:

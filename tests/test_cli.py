@@ -130,7 +130,7 @@ class TestPool:
         out = tmp_path / "pool"
         code = run_cli(
             "pool", "--in", CLEAN, "--out", str(out), "--members", "typos,speech",
-            "--homophones", str(lexicon), "--sentences", str(tmp_path / "unused.txt"),
+            "--homophones", str(lexicon),
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
@@ -143,6 +143,27 @@ class TestPool:
         save_pool(rebuilt, tmp_path / "rebuilt", specs)
         for name in ("augmented.jsonl", "manifest.json"):
             assert (tmp_path / "rebuilt" / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        (["augment", "--out", "OUT", "--kind", "typos", "--homophones", "/no/such/file"], "--homophones"),
+        (
+            ["augment", "--out", "OUT", "--kind", "composite", "--members", "typos,delete", "--vocab", "/no/such/file"],
+            "--vocab",
+        ),
+        (["pool", "--out", "OUT", "--members", "typos,delete", "--sentences", "/no/such/file"], "--sentences"),
+        (["demo-preview", "--clean", CLEAN, "--paraphrase-provider", "http://127.0.0.1:9/p"], "--paraphrase-provider"),
+    ],
+)
+def test_asset_flag_no_built_kind_reads_exits_2_naming_it(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    argv = [str(out) if arg == "OUT" else arg for arg in command]
+    assert run_cli(argv[0], "--in", CLEAN, *argv[1:]) == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err and not captured.out
+    assert not out.exists()
 
 
 class TestDemoPreview:
@@ -368,6 +389,15 @@ class TestSweepAndTemplates:
         assert "bogus" in capsys.readouterr().err
         assert not list(tmp_path.glob("cmp/tmpl_*"))
 
+    def test_templates_baseline_tolerates_spaces(self, tmp_path, capsys):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
+        code = run_cli(
+            "templates", "--config", str(config), "--ids", "t1_english, t2_concise",
+            "--baseline", " t2_concise",
+        )
+        assert code == 0
+        assert "(+0.0)" in capsys.readouterr().out
+
     def test_templates_unknown_baseline_fails_before_any_run(self, tmp_path, capsys):
         config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
         code = run_cli(
@@ -486,3 +516,35 @@ class TestScoreAndReport:
         assert run_cli("report", str(bad)) == 1
         err = capsys.readouterr().err
         assert str(bad) in err and named in err
+
+    @pytest.mark.parametrize(
+        "block, key, change",
+        [
+            ("overall", "micro_f2", "add"),
+            ("overall", "macro_f1", "drop"),
+            ("per_group", "supprt", "add"),
+            ("per_example", "fn", "drop"),
+            (None, "modes", "add"),
+        ],
+    )
+    def test_report_on_unknown_or_missing_key_exits_1_naming_it(
+        self, tmp_path, capsys, block, key, change
+    ):
+        assert run_cli("eval", "--config", str(eval_config(tmp_path))) == 0
+        path = tmp_path / "run" / "result.json"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        record = payload["result"]
+        if block == "overall":
+            record = record["overall"]
+        elif block == "per_group":
+            record = next(iter(record["per_group"].values()))
+        elif block == "per_example":
+            record = record["per_example"][0]
+        if change == "add":
+            record[key] = 0
+        else:
+            del record[key]
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("report", str(path)) == 1
+        assert f"'{key}'" in capsys.readouterr().err

@@ -148,7 +148,6 @@ class TestPoolIndex:
         for name, rows in index.label_rows.items():
             bearing = [i for i, ex in enumerate(candidates) if any(s.slot_type == name for s in ex.spans)]
             assert rows.tolist() == bearing
-            assert len(index.for_label(name)) == len(bearing)
 
     def test_shared_index_matches_fresh_local_index(self, clean_dataset):
         pool = small_pool(clean_dataset)
@@ -165,13 +164,10 @@ class TestPoolIndex:
         pool = small_pool(clean_dataset)
         query = clean_dataset.examples[0]
         index = PoolIndex(pool.clean.examples)
-        label = clean_dataset.labels.names[0]
         with pytest.raises(ConfigError, match="mixed"):
             build_instance_demos(query, pool, "mixed", "retrieve", k=2, index=index)
         with pytest.raises(ConfigError, match="mixed"):
             build_entity_demos(query, pool, "mixed", clean_dataset.labels, "retrieve", index=index)
-        with pytest.raises(ConfigError, match="clean"):
-            build_instance_demos(query, pool, "clean", "retrieve", k=2, index=index.for_label(label))
 
     def test_provider_row_count_is_checked(self):
         with pytest.raises(ClientError, match="shape"):
@@ -247,6 +243,28 @@ class TestEntityDemos:
         assert demos == [
             build_entity_demos(query, pool, "clean", labels, "retrieve") for query in queries
         ]
+
+    def test_retrieve_scores_every_candidate_once_per_query(self, clean_dataset):
+        products = []
+
+        class CountingMatrix(np.ndarray):
+            """Records each matrix-vector product taken of it or of its row subsets."""
+
+            def __matmul__(self, other):
+                products.append(self.shape)
+                return np.asarray(self) @ other
+
+        pool = small_pool(clean_dataset)
+        index = PoolIndex(pool.mixed.examples)
+        index.matrix = index.matrix.view(CountingMatrix)
+        labels = clean_dataset.labels
+        queries = clean_dataset.examples[:5]
+        for query in queries:
+            assert build_entity_demos(
+                query, pool, "mixed", labels, "retrieve", index=index
+            ) == build_entity_demos(query, pool, "mixed", labels, "retrieve")
+        assert len(labels) > 1
+        assert products == [index.matrix.shape] * len(queries)
 
     def test_random_is_pure_function_of_seed(self, clean_dataset):
         pool = small_pool(clean_dataset)

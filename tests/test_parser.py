@@ -76,11 +76,10 @@ class TestPatternThree:
 
 
 class TestRobustness:
-    def test_unparseable_text_keeps_raw(self):
-        text = "no entities found"
-        pred = parse_predictions(text, LABELS)
+    def test_unparseable_text_yields_no_pairs(self):
+        pred = parse_predictions("no entities found", LABELS)
         assert pred.pairs == ()
-        assert pred.raw == text
+        assert pred.dropped_unknown_labels == 0
 
     def test_none_answer(self):
         assert parse_predictions("none", LABELS).pairs == ()

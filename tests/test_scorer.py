@@ -22,7 +22,7 @@ from conftest import make_example, random_example
 
 
 def prediction(*pairs: tuple[str, str]) -> Prediction:
-    return Prediction(pairs=tuple(pairs), dropped_unknown_labels=0, raw="")
+    return Prediction(pairs=tuple(pairs), dropped_unknown_labels=0)
 
 
 GOLD = make_example(["play", "rainy", "day", "on", "spotify"], [(1, 2, "playlist"), (4, 4, "service")])
