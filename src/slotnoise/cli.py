@@ -124,12 +124,12 @@ def cmd_demo_preview(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = harness.RunConfig.from_json(args.config)
-    if args.resume and not Path(cfg.out_dir).exists():
-        print(f"note: --resume with no previous run directory {cfg.out_dir}", file=sys.stderr)
     result = harness.run_experiment(cfg)
     errors_log = Path(cfg.out_dir) / "errors.jsonl"
     if errors_log.exists():
-        n_failed = sum(1 for line in errors_log.read_text(encoding="utf-8").splitlines() if line)
+        lines = errors_log.read_text(encoding="utf-8").splitlines()
+        # an example may fail in two stages, so count ids, not lines
+        n_failed = len({json.loads(line)["id"] for line in lines if line})
         print(f"partial failures: {n_failed} examples errored; see {errors_log}", file=sys.stderr)
     print(harness.render_report({cfg.name: result}), end="")
     return 0
@@ -222,7 +222,11 @@ def cmd_report(args: argparse.Namespace) -> int:
         name = str(payload.get("name", path.stem))
         if name in results:
             name = f"{name}:{path.stem}"
-        results[name] = result
+        unique, n = name, 1
+        while unique in results:
+            n += 1
+            unique = f"{name}#{n}"
+        results[unique] = result
     text = harness.render_report(results, baseline=args.baseline, out_dir=args.out)
     print(text, end="")
     return 0
@@ -270,7 +274,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="run a configured experiment")
     p.add_argument("--config", required=True)
-    p.add_argument("--resume", action="store_true", help="reuse an existing run directory/cache")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="sweep the demonstration count")

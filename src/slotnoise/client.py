@@ -62,7 +62,6 @@ class ModelConfig:
     error_rate: float = 0.0
     seed: int = 0
     fixed_text: str = ""
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -71,7 +70,6 @@ class ModelConfig:
             raise ConfigError(f"error_rate out of range: {self.error_rate}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
-        object.__setattr__(self, "labels", tuple(self.labels))
 
 
 def model_key(cfg: ModelConfig) -> str:
@@ -91,7 +89,9 @@ def _render_gold(ex: LabeledExample) -> str:
     return "\n".join(lines) if lines else "none"
 
 
-def _complete_noisy(prompt: str, cfg: ModelConfig, ex: LabeledExample) -> str:
+def _complete_noisy(
+    prompt: str, cfg: ModelConfig, ex: LabeledExample, labels: tuple[str, ...]
+) -> str:
     digest = hashlib.sha256(f"{cfg.seed}:{prompt}".encode("utf-8")).digest()
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     lines: list[str] = []
@@ -99,7 +99,7 @@ def _complete_noisy(prompt: str, cfg: ModelConfig, ex: LabeledExample) -> str:
         if rng.random() < cfg.error_rate:
             if rng.random() < 0.5:
                 continue  # drop
-            others = [l for l in cfg.labels if l != span.slot_type]
+            others = [l for l in labels if l != span.slot_type]
             if not others:
                 continue
             lines.append(f'"{ex.surface(span)}" is {rng.choice(others)}.')
@@ -201,9 +201,12 @@ def _complete_remote(prompt: str, cfg: ModelConfig) -> str:
 
 
 def complete(
-    prompt: str, cfg: ModelConfig, side_channel: LabeledExample | None = None
+    prompt: str,
+    cfg: ModelConfig,
+    side_channel: LabeledExample | None = None,
+    labels: tuple[str, ...] = (),
 ) -> str:
-    """Return the model's raw completion for a prompt."""
+    """Return the model's raw completion; noisy_oracle swaps gold labels for others in labels."""
     if cfg.kind == REMOTE:
         return _complete_remote(prompt, cfg)
     if cfg.kind == FIXED:
@@ -212,7 +215,7 @@ def complete(
         raise ConfigError(f"{cfg.kind} client requires a gold side-channel example")
     if cfg.kind == ECHO_GOLD:
         return _render_gold(side_channel)
-    return _complete_noisy(prompt, cfg, side_channel)
+    return _complete_noisy(prompt, cfg, side_channel, labels)
 
 
 @dataclass(frozen=True)
@@ -266,11 +269,12 @@ def cached_complete(
     cfg: ModelConfig,
     cache: ResponseCache,
     side_channel: LabeledExample | None = None,
+    labels: tuple[str, ...] = (),
 ) -> str:
     key = cache.key(cfg, prompt, side_channel)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    response = complete(prompt, cfg, side_channel)
+    response = complete(prompt, cfg, side_channel, labels)
     cache.put(key, cfg, prompt, response)
     return response

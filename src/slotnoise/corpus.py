@@ -374,14 +374,9 @@ def _load_conll(path: Path, split: str) -> tuple[list[LabeledExample], int]:
 def load_dataset(
     path: str | Path,
     fmt: str = JSONL_SPANS,
-    labels_path: str | Path | None = None,
     split_name: str | None = None,
 ) -> Dataset:
-    """Load and validate a dataset.
-
-    The label set is the union of observed slot types unless labels_path
-    points at an explicit label file.
-    """
+    """Load and validate a dataset; its label set is the union of observed slot types."""
     path = Path(path)
     if fmt not in FORMATS:
         raise ConfigError(f"unknown dataset format: {fmt!r} (expected one of {FORMATS})")
@@ -394,8 +389,7 @@ def load_dataset(
         examples, repairs = _load_conll(path, split)
         if repairs:
             log.info("repaired %d dangling I- tags while loading %s", repairs, path)
-    labels = LabelSet.load(labels_path) if labels_path else LabelSet.from_observed(examples)
-    return Dataset(tuple(examples), labels, split)
+    return Dataset(tuple(examples), LabelSet.from_observed(examples), split)
 
 
 def dump_jsonl(path: Path, records: Iterable[dict]) -> None:

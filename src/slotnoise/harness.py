@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .client import ModelConfig, NOISY_ORACLE, ResponseCache, cached_complete
+from .client import ModelConfig, ResponseCache, cached_complete
 from .corpus import Dataset, LabeledExample, LabelSet, dump_jsonl, load_dataset, save_dataset
 from .demos import (
     DemonstrationSet,
@@ -95,7 +95,7 @@ class RunConfig:
         out = fields_to_dict(self)
         out["test_splits"] = dict(self.test_splits)
         out["pool_specs"] = [spec_to_dict(s) for s in self.pool_specs]
-        out["model"] = fields_to_dict(self.model, omit=("labels",))
+        out["model"] = fields_to_dict(self.model)
         return out
 
     @classmethod
@@ -114,7 +114,7 @@ class RunConfig:
         pairs = splits.items() if isinstance(splits, Mapping) else splits
         kwargs["test_splits"] = tuple((str(g), _resolve(str(p))) for g, p in pairs)
         kwargs["pool_specs"] = tuple(spec_from_dict(s) for s in data.get("pool_specs", ()))
-        model = scalars_from_dict(ModelConfig, data.get("model", {}), "model", omit=("labels",))
+        model = scalars_from_dict(ModelConfig, data.get("model", {}), "model")
         kwargs["model"] = ModelConfig(**model)
         return cls(**kwargs)
 
@@ -210,10 +210,6 @@ def _execute(
     if labels is None:
         labels = _observed_labels(splits, pool)
 
-    model = cfg.model
-    if model.kind == NOISY_ORACLE and not model.labels:
-        model = replace(model, labels=tuple(labels.names))
-
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
 
     gold_examples: list[LabeledExample] = []
@@ -236,13 +232,13 @@ def _execute(
     def _complete(job: tuple[str, str, LabeledExample, str]) -> tuple[str, str, str | None]:
         rid, _, ex, prompt = job
         try:
-            return rid, cached_complete(prompt, model, cache, side_channel=ex), None
+            return rid, cached_complete(prompt, cfg.model, cache, ex, labels.names), None
         except Exception as exc:
             return rid, "", str(exc)
 
     responses: dict[str, str] = {}
-    if model.max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=model.max_in_flight) as executor:
+    if cfg.model.max_in_flight > 1:
+        with ThreadPoolExecutor(max_workers=cfg.model.max_in_flight) as executor:
             outcomes = list(executor.map(_complete, jobs))
     else:
         outcomes = [_complete(job) for job in jobs]

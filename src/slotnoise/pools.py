@@ -7,14 +7,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Dataset, load_dataset, save_dataset
+from .corpus import Dataset, save_dataset
 from .errors import ConfigError
 from .perturb import (
     PerturbationSpec,
     kind_token,
     perturb_examples,
     resolve_assets,
-    spec_from_dict,
     spec_to_dict,
 )
 
@@ -78,16 +77,3 @@ def save_pool(pool: DataPool, out_dir: str | Path, specs: Sequence[PerturbationS
     (out / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-
-def load_pool(pool_dir: str | Path) -> DataPool:
-    pool_dir = Path(pool_dir)
-    clean = load_dataset(pool_dir / "clean.jsonl", split_name="clean")
-    augmented = load_dataset(pool_dir / "augmented.jsonl", split_name="augment")
-    augmented = Dataset(augmented.examples, clean.labels, "augment")
-    return DataPool(clean=clean, augmented=augmented)
-
-
-def load_pool_manifest(pool_dir: str | Path) -> list[PerturbationSpec]:
-    manifest = json.loads((Path(pool_dir) / "manifest.json").read_text(encoding="utf-8"))
-    return [spec_from_dict(d) for d in manifest.get("specs", [])]

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import MISSING, fields
-from typing import Collection, Mapping, get_type_hints
+from typing import Collection, Mapping
 
 from .errors import ConfigError
 
-_SCALARS = (str, int, float)
+# Scalar type by a field's annotation as written (Field.type), which is a
+# string because every module declares its dataclasses under
+# `from __future__ import annotations`.
+_SCALARS = {"str": str, "int": int, "float": float}
 
 
 def _coerce(kind: type, value: object) -> object:
@@ -37,9 +40,9 @@ def check_keys(data: object, valid: Collection[str], where: str) -> None:
         raise ConfigError(f"unknown {where} key {key!r} ({hint})")
 
 
-def fields_to_dict(obj: object, omit: Collection[str] = ()) -> dict:
-    """Field name -> value of a dataclass instance, leaving out omit."""
-    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in omit}
+def fields_to_dict(obj: object) -> dict:
+    """Field name -> value of a dataclass instance."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)}
 
 
 def scalars_from_dict(cls: type, data: Mapping, where: str, omit: Collection[str] = ()) -> dict:
@@ -50,15 +53,14 @@ def scalars_from_dict(cls: type, data: Mapping, where: str, omit: Collection[str
     checked for presence only; the caller builds them.
     """
     check_keys(data, [f.name for f in fields(cls) if f.name not in omit], where)
-    hints = get_type_hints(cls)
     kwargs = {}
     for f in fields(cls):
         if f.name not in data:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"missing {where} key {f.name!r}")
             continue
-        kind = hints[f.name]
-        if kind in _SCALARS:
+        kind = _SCALARS.get(f.type)
+        if kind is not None:
             try:
                 kwargs[f.name] = _coerce(kind, data[f.name])
             except (TypeError, ValueError):

@@ -9,7 +9,8 @@ import pytest
 
 from slotnoise.cli import main
 from slotnoise.corpus import load_dataset
-from slotnoise.pools import build_pool, load_pool_manifest, save_pool
+from slotnoise.perturb import spec_from_dict
+from slotnoise.pools import build_pool, save_pool
 
 from conftest import DATA_DIR, SINGLE_SPLITS
 from httpfake import Reply
@@ -138,7 +139,7 @@ class TestPool:
             None, {"homophone_lexicon": str(lexicon)}
         ]
         # The manifest loads and rebuilds the same pool.
-        specs = load_pool_manifest(out)
+        specs = [spec_from_dict(d) for d in manifest["specs"]]
         rebuilt = build_pool(load_dataset(CLEAN, split_name="clean"), specs)
         save_pool(rebuilt, tmp_path / "rebuilt", specs)
         for name in ("augmented.jsonl", "manifest.json"):
@@ -219,8 +220,36 @@ class TestEval:
         # Simulate an interrupt: logs lost, cache intact.
         for name in ("responses.jsonl", "predictions.jsonl", "result.json", "report.txt"):
             (run_dir / name).unlink()
-        assert run_cli("eval", "--config", str(config), "--resume") == 0
+        assert run_cli("eval", "--config", str(config)) == 0
         assert (run_dir / "responses.jsonl").read_bytes() == responses
+
+    def test_resume_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("eval", "--config", str(eval_config(tmp_path)), "--resume")
+        assert exit_info.value.code == 2
+        assert "--resume" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_example_failing_in_two_stages_is_counted_once(self, tmp_path, capsys, http_server):
+        # The pool is embedded in one request, then each query in one; three
+        # queries are refused (prompt stage) and every completion fails.
+        pool = Reply(200, {"vectors": [[1.0, 0.0]] * 30})
+        query = Reply(200, {"vectors": [[1.0, 0.0]]})
+        refused = Reply(400, {"error": "bad query"})
+        http_server.script(pool, refused, refused, refused, query)
+        config = eval_config(
+            tmp_path,
+            test_splits={"Clean": CLEAN},
+            demo_strategy="retrieve",
+            embed_endpoint=http_server.url,
+            model={"kind": "remote", "endpoint": "http://127.0.0.1:9/v1/chat/completions"},
+            max_error_fraction=1.0,
+        )
+        assert run_cli("eval", "--config", str(config)) == 0
+        log = (tmp_path / "run" / "errors.jsonl").read_text(encoding="utf-8").splitlines()
+        stages = [json.loads(line)["stage"] for line in log]
+        assert (stages.count("prompt"), stages.count("complete")) == (3, 30)
+        assert "partial failures: 30 examples errored" in capsys.readouterr().err
 
     @pytest.mark.parametrize("provider", ["embedding", "paraphrase"])
     @pytest.mark.parametrize("body", [b"not json", {"other": 1}, [1, 2]], ids=["text", "keys", "list"])
@@ -505,6 +534,25 @@ class TestScoreAndReport:
         out = capsys.readouterr().out
         assert "runA" in out and "runB" in out
         assert "(+0.0)" in out
+        # Runs sharing a name keep a row each.
+        stored = (tmp_path / "runB" / "result.json").read_text(encoding="utf-8")
+        paths = []
+        for i, micro in enumerate((100.0, 0.0, 100.0)):
+            payload = json.loads(stored)
+            payload["name"] = "run"
+            payload["result"]["overall"]["micro_f1"] = micro
+            path = tmp_path / f"r{i}" / "result.json"
+            path.parent.mkdir()
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            paths.append(str(path))
+        capsys.readouterr()
+        assert run_cli("report", *paths[:2]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:4]
+        assert [row.split()[0] for row in rows] == ["run", "run:result"]
+        assert run_cli("report", *paths) == 0
+        rows = capsys.readouterr().out.splitlines()[2:5]
+        assert [row.split()[0] for row in rows] == ["run", "run:result", "run:result#2"]
+        assert [row.split()[-1] for row in rows] == ["100.00", "0.00", "100.00"]
 
     @pytest.mark.parametrize(
         "text, named",
@@ -524,6 +572,7 @@ class TestScoreAndReport:
             ("overall", "macro_f1", "drop"),
             ("per_group", "supprt", "add"),
             ("per_example", "fn", "drop"),
+            ("per_example", "tp", "retype"),
             (None, "modes", "add"),
         ],
     )
@@ -542,6 +591,8 @@ class TestScoreAndReport:
             record = record["per_example"][0]
         if change == "add":
             record[key] = 0
+        elif change == "retype":
+            record[key] = True
         else:
             del record[key]
         path.write_text(json.dumps(payload), encoding="utf-8")

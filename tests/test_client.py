@@ -43,17 +43,15 @@ class TestMocks:
     def test_noisy_oracle_zero_error_equals_echo(self):
         echo = complete("p", ModelConfig(kind="echo_gold"), side_channel=GOLD)
         noisy = complete(
-            "p",
-            ModelConfig(kind="noisy_oracle", error_rate=0.0, labels=LABELS),
-            side_channel=GOLD,
+            "p", ModelConfig(kind="noisy_oracle", error_rate=0.0), side_channel=GOLD, labels=LABELS
         )
         assert noisy == echo
 
     def test_noisy_oracle_full_error_never_matches_gold(self):
         gold_pairs = {("jazz", "genre"), ("spotify", "service")}
-        cfg = ModelConfig(kind="noisy_oracle", error_rate=1.0, labels=LABELS, seed=3)
+        cfg = ModelConfig(kind="noisy_oracle", error_rate=1.0, seed=3)
         for i in range(200):
-            out = complete(f"prompt {i}", cfg, side_channel=GOLD)
+            out = complete(f"prompt {i}", cfg, side_channel=GOLD, labels=LABELS)
             for line in out.splitlines():
                 if line == "none":
                     continue
@@ -62,10 +60,10 @@ class TestMocks:
                 assert (surface, label) not in gold_pairs
 
     def test_noisy_oracle_deterministic_per_prompt(self):
-        cfg = ModelConfig(kind="noisy_oracle", error_rate=0.5, labels=LABELS, seed=1)
-        a = complete("same prompt", cfg, side_channel=GOLD)
-        b = complete("same prompt", cfg, side_channel=GOLD)
-        c = complete("different prompt", cfg, side_channel=GOLD)
+        cfg = ModelConfig(kind="noisy_oracle", error_rate=0.5, seed=1)
+        a = complete("same prompt", cfg, side_channel=GOLD, labels=LABELS)
+        b = complete("same prompt", cfg, side_channel=GOLD, labels=LABELS)
+        c = complete("different prompt", cfg, side_channel=GOLD, labels=LABELS)
         assert a == b
         assert isinstance(c, str)
 
@@ -81,9 +79,9 @@ class TestCache:
         calls = []
         real_complete = client_mod.complete
 
-        def counting(prompt, cfg, side_channel=None):
+        def counting(prompt, cfg, side_channel=None, labels=()):
             calls.append(prompt)
-            return real_complete(prompt, cfg, side_channel)
+            return real_complete(prompt, cfg, side_channel, labels)
 
         monkeypatch.setattr(client_mod, "complete", counting)
         cache = ResponseCache(tmp_path / "cache")

@@ -255,15 +255,6 @@ class TestIO:
         with pytest.raises(ParseError, match=":2"):
             load_dataset(path, fmt="conll_bio")
 
-    def test_label_file_overrides_observed(self, tmp_path, clean_dataset):
-        data_path = tmp_path / "ds.jsonl"
-        save_dataset(clean_dataset, data_path)
-        labels_path = tmp_path / "labels.txt"
-        names = sorted(clean_dataset.labels)
-        labels_path.write_text("\n".join(names) + "\nextra_label\n", encoding="utf-8")
-        ds = load_dataset(data_path, labels_path=labels_path)
-        assert list(ds.labels) == names + ["extra_label"]
-
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x.jsonl"
         path.write_text("", encoding="utf-8")

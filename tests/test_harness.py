@@ -144,9 +144,9 @@ class TestRunExperiment:
         calls = []
         real = client_mod.complete
 
-        def counting(prompt, cfg_, side_channel=None):
+        def counting(prompt, cfg_, side_channel=None, labels=()):
             calls.append(prompt)
-            return real(prompt, cfg_, side_channel)
+            return real(prompt, cfg_, side_channel, labels)
 
         monkeypatch.setattr(client_mod, "complete", counting)
         second = run_experiment(cfg)
@@ -178,7 +178,7 @@ class TestRunExperiment:
         assert [e.id for e in threaded.per_example] == [e.id for e in sequential.per_example]
 
     def test_error_budget_enforced(self, tmp_path, monkeypatch):
-        def exploding(prompt, cfg_, side_channel=None):
+        def exploding(prompt, cfg_, side_channel=None, labels=()):
             raise RuntimeError("backend down")
 
         monkeypatch.setattr(client_mod, "complete", exploding)
@@ -190,10 +190,10 @@ class TestRunExperiment:
         real = client_mod.complete
         failures = {"Clean/u001"}
 
-        def flaky(prompt, cfg_, side_channel=None):
+        def flaky(prompt, cfg_, side_channel=None, labels=()):
             if side_channel is not None and f"Clean/{side_channel.id}" in failures and "u001" in side_channel.id:
                 raise RuntimeError("transient")
-            return real(prompt, cfg_, side_channel)
+            return real(prompt, cfg_, side_channel, labels)
 
         monkeypatch.setattr(client_mod, "complete", flaky)
         cfg = base_config(tmp_path, demo_k=0, max_error_fraction=0.5)
@@ -218,10 +218,10 @@ class TestRunExperiment:
                 raise RuntimeError("no demonstrations")
             return real_demos(cfg_, ex, *args)
 
-        def broken_complete(prompt, cfg_, side_channel=None):
+        def broken_complete(prompt, cfg_, side_channel=None, labels=()):
             if side_channel.id in failing:
                 raise RuntimeError("backend down")
-            return real_complete(prompt, cfg_, side_channel)
+            return real_complete(prompt, cfg_, side_channel, labels)
 
         monkeypatch.setattr(harness_mod, "_build_demos", broken_demos)
         monkeypatch.setattr(client_mod, "complete", broken_complete)

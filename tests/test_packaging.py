@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import os
 import re
 import subprocess
@@ -24,6 +26,23 @@ def test_src_keeps_no_process_wide_cache():
     pattern = re.compile(r"lru_cache|functools\.cache|from functools import[^\n]*\bcache\b")
     for path in sorted((ROOT / "src").rglob("*.py")):
         assert not pattern.search(path.read_text(encoding="utf-8")), path
+
+
+def test_every_benchmark_trace_hook_resolves_to_a_callable(monkeypatch):
+    # perfbench/spans.py wraps these names by lookup and only reports a
+    # vanished one, so a renamed or moved function would go unnoticed.
+    spec = importlib.util.spec_from_file_location("_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look their module up
+    spec.loader.exec_module(spans)
+    missing = []
+    for module_name, attr, _, _ in spans.HOOKS:
+        target = importlib.import_module(module_name)
+        for part in attr.split("."):
+            target = getattr(target, part, None)
+        if not callable(target):
+            missing.append(f"{module_name}.{attr}")
+    assert spans.HOOKS and missing == []
 
 
 def test_numpy_is_the_only_runtime_dependency():

@@ -7,10 +7,16 @@ from dataclasses import replace
 import pytest
 
 from slotnoise import perturb
-from slotnoise.corpus import save_dataset
+from slotnoise.corpus import load_dataset, save_dataset
 from slotnoise.errors import ConfigError
-from slotnoise.perturb import PerturbationSpec, compose, perturb_dataset, spec_to_dict
-from slotnoise.pools import build_pool, load_pool, load_pool_manifest, save_pool
+from slotnoise.perturb import (
+    PerturbationSpec,
+    compose,
+    perturb_dataset,
+    spec_from_dict,
+    spec_to_dict,
+)
+from slotnoise.pools import build_pool, save_pool
 
 
 def specs_for(kinds, p=0.3):
@@ -117,10 +123,11 @@ def test_save_and_load_round_trip(clean_dataset, tmp_path):
     specs = specs_for([perturb.CHAR_TYPOS, perturb.APPEND_IRR])
     pool = build_pool(clean_dataset, specs)
     save_pool(pool, tmp_path / "pool", specs)
-    loaded = load_pool(tmp_path / "pool")
-    assert loaded.clean.examples == pool.clean.examples
-    assert loaded.augmented.examples == pool.augmented.examples
-    assert load_pool_manifest(tmp_path / "pool") == specs
+    assert load_dataset(tmp_path / "pool" / "clean.jsonl").examples == pool.clean.examples
+    augmented = load_dataset(tmp_path / "pool" / "augmented.jsonl")
+    assert augmented.examples == pool.augmented.examples
+    manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text(encoding="utf-8"))
+    assert [spec_from_dict(d) for d in manifest["specs"]] == specs
 
 
 def test_manifest_holds_the_specs_only(clean_dataset, tmp_path):
@@ -132,4 +139,4 @@ def test_manifest_holds_the_specs_only(clean_dataset, tmp_path):
     manifest = json.loads((tmp_path / "pool" / "manifest.json").read_text(encoding="utf-8"))
     assert manifest == {"specs": [spec_to_dict(composite)]}
     assert "insert_vocab" not in json.dumps(manifest)
-    assert load_pool_manifest(tmp_path / "pool") == [composite]
+    assert [spec_from_dict(d) for d in manifest["specs"]] == [composite]
