@@ -12,6 +12,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
@@ -25,6 +26,9 @@ _PERTURBED_PREFIX = "perturbed:"
 QUOTES = "\"'“”‘’`"
 TERMINAL_PUNCT = ".,;:!?"
 _LABEL_SEPARATORS = re.compile(r"[\s_]+")
+
+# Records per joined log write, and examples per batch of harness stages.
+CHUNK_SIZE = 256
 
 JSONL_SPANS = "jsonl_spans"
 CONLL_BIO = "conll_bio"
@@ -392,11 +396,24 @@ def load_dataset(
     return Dataset(tuple(examples), LabelSet.from_observed(examples), split)
 
 
-def dump_jsonl(path: Path, records: Iterable[dict]) -> None:
-    """Write one JSON record per line, keys sorted, non-ASCII kept as is."""
+def chunked(items: Iterable) -> Iterator[list]:
+    """Successive lists of at most CHUNK_SIZE items."""
+    it = iter(items)
+    while chunk := list(islice(it, CHUNK_SIZE)):
+        yield chunk
+
+
+def jsonl_lines(records: Iterable[dict]) -> str:
+    """One JSON record per line, keys sorted, non-ASCII kept as is."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
-    lines = [encode(record) for record in records]
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    return "".join(encode(record) + "\n" for record in records)
+
+
+def dump_jsonl(path: Path, records: Iterable[dict]) -> None:
+    """Write records as :func:`jsonl_lines`, one joined write per chunk."""
+    with path.open("w", encoding="utf-8") as handle:
+        for chunk in chunked(records):
+            handle.write(jsonl_lines(chunk))
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:

@@ -1,12 +1,12 @@
 """Experiment orchestration: config, execution, logging, sweeps, reports.
 
-A run walks every example of every configured test split through the
-pipeline (demonstrations -> prompt -> cached completion -> parse -> score),
-logs prompts/responses/predictions as line-delimited records in the run
-directory, and aggregates an :class:`EvalResult` per perturbation group.
-With mock clients the whole pipeline is bit-deterministic under a fixed
-config, and a warm cache reproduces the identical result with zero backend
-calls.
+A run walks its test splits' examples in chunks of ``corpus.CHUNK_SIZE``
+through the pipeline (demonstrations -> prompt -> cached completion -> parse
+-> score), appends each chunk's records to the logs in the run directory and
+aggregates an :class:`EvalResult` per perturbation group. An interrupted run
+leaves partial logs, which the rerun overwrites while its cache resumes.
+With mock clients the pipeline is bit-deterministic under a fixed config, and
+a warm cache reproduces the identical result with zero backend calls.
 """
 
 from __future__ import annotations
@@ -15,12 +15,14 @@ import hashlib
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from .client import ModelConfig, ResponseCache, cached_complete
-from .corpus import Dataset, LabeledExample, LabelSet, dump_jsonl, load_dataset, save_dataset
+from .corpus import Dataset, LabeledExample, LabelSet, chunked, dump_jsonl, jsonl_lines
+from .corpus import load_dataset, save_dataset
 from .demos import (
     DemonstrationSet,
     ENTITY_MODE,
@@ -83,6 +85,10 @@ class RunConfig:
         object.__setattr__(self, "pool_specs", tuple(self.pool_specs))
         if not self.test_splits:
             raise ConfigError("config needs at least one test split")
+        groups = [group for group, _ in self.test_splits]
+        repeated = next((g for i, g in enumerate(groups) if g in groups[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"test split group {repeated!r} is listed more than once")
         if self.demo_k < 0:
             raise ConfigError(f"demo_k must be >= 0, got {self.demo_k}")
         if self.demo_k > 0 and not self.pool_clean:
@@ -134,13 +140,9 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _observed_labels(splits: Sequence[tuple[str, Dataset]], pool: DataPool | None) -> LabelSet:
-    examples: list[LabeledExample] = []
-    if pool is not None:
-        examples.extend(pool.mixed.examples)
-    for _, ds in splits:
-        examples.extend(ds.examples)
-    return LabelSet.from_observed(examples)
+def _write_json(path: Path, data: dict) -> None:
+    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _build_demos(
@@ -179,6 +181,12 @@ def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
         raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
     labels = LabelSet.load(cfg.labels_path) if cfg.labels_path else None
     splits = [(group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits]
+    for group, ds in splits if labels is not None else ():
+        missing = [name for name in ds.labels if name not in labels]
+        if missing:
+            raise ConfigError(
+                f"slot type {missing[0]!r} of split {group!r} is not in {cfg.labels_path}"
+            )
     pool = index = None
     if any(sub.demo_k > 0 for sub in subs):
         clean = load_dataset(cfg.pool_clean, split_name="clean")
@@ -202,105 +210,79 @@ def _execute(
 ) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "config.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out / "config.json", cfg.to_dict())
     template = registry[cfg.template_id]
-    if labels is None:
-        labels = _observed_labels(splits, pool)
-
+    if labels is None:  # those observed in the pool and the splits
+        datasets = ([pool.mixed] if pool else []) + [ds for _, ds in splits]
+        labels = LabelSet.from_observed(ex for ds in datasets for ex in ds)
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
-
+    # Only these outlive a chunk; prompts, responses and log records do not.
     gold_examples: list[LabeledExample] = []
-    jobs: list[tuple[str, str, LabeledExample, str]] = []  # (rid, group, example, prompt)
-    errors: list[dict] = []
-    for group, ds in splits:
-        for ex in ds:
-            rid = f"{group}/{ex.id}"
-            gold_examples.append(ex.with_id(rid))
-            try:
-                demos = _build_demos(cfg, ex, pool, labels, index) if pool else None
-                prompt = render_prompt(template, labels, demos, ex)
-            except ConfigError:
-                raise
-            except Exception as exc:  # logged per example, budgeted below
-                errors.append({"id": rid, "stage": "prompt", "error": str(exc)})
-                prompt = render_prompt(template, labels, None, ex)
-            jobs.append((rid, group, ex, prompt))
-
-    def _complete(job: tuple[str, str, LabeledExample, str]) -> tuple[str, str, str | None]:
-        rid, _, ex, prompt = job
-        try:
-            return rid, cached_complete(prompt, cfg.model, cache, ex, labels.names), None
-        except Exception as exc:
-            return rid, "", str(exc)
-
-    responses: dict[str, str] = {}
-    if cfg.model.max_in_flight > 1:
-        with ThreadPoolExecutor(max_workers=cfg.model.max_in_flight) as executor:
-            outcomes = list(executor.map(_complete, jobs))
-    else:
-        outcomes = [_complete(job) for job in jobs]
-    for rid, response, error in outcomes:
-        responses[rid] = response
-        if error is not None:
-            errors.append({"id": rid, "stage": "complete", "error": error})
-
     counts: dict[str, MatchCounts] = {}
     groups: dict[str, str] = {}
-    prompt_records: list[dict] = []
-    response_records: list[dict] = []
-    prediction_records: list[dict] = []
-    for rid, group, ex, prompt in jobs:
-        response = responses[rid]
-        prediction = parse_predictions(response, labels)
-        counts[rid] = score_example(ex, prediction, cfg.scoring_mode)
-        groups[rid] = group
-        prompt_sha = _sha(prompt)
-        prompt_records.append({"id": rid, "prompt_sha": prompt_sha, "prompt": prompt})
-        response_records.append(
-            {"id": rid, "prompt_sha": prompt_sha, "response": response}
-        )
-        prediction_records.append(
-            {
-                "id": rid,
-                "group": group,
-                "pairs": [[s, t] for s, t in prediction.pairs],
-                "dropped_unknown_labels": prediction.dropped_unknown_labels,
-            }
-        )
+    prompt_errors: list[dict] = []
+    complete_errors: list[dict] = []
 
-    dump_jsonl(out / "prompts.jsonl", prompt_records)
-    dump_jsonl(out / "responses.jsonl", response_records)
-    dump_jsonl(out / "predictions.jsonl", prediction_records)
-    (out / "groups.tsv").write_text(
-        "".join(f"{rid}\t{group}\n" for rid, group in groups.items()), encoding="utf-8"
-    )
-    save_dataset(
-        Dataset(tuple(gold_examples), labels, "gold"), out / "gold.jsonl"
-    )
+    def _prompt(rid: str, ex: LabeledExample) -> str:
+        try:
+            demos = _build_demos(cfg, ex, pool, labels, index) if pool else None
+            return render_prompt(template, labels, demos, ex)
+        except ConfigError:
+            raise
+        except Exception as exc:  # logged per example, budgeted below
+            prompt_errors.append({"id": rid, "stage": "prompt", "error": str(exc)})
+            return render_prompt(template, labels, None, ex)
+
+    def _complete(ex: LabeledExample, prompt: str) -> tuple[str, str | None]:
+        try:
+            return cached_complete(prompt, cfg.model, cache, ex, labels.names), None
+        except Exception as exc:
+            return "", str(exc)
+
+    names = ("prompts.jsonl", "responses.jsonl", "predictions.jsonl", "groups.tsv")
+    with ExitStack() as stack:
+        logs = [stack.enter_context((out / name).open("w", encoding="utf-8")) for name in names]
+        workers = cfg.model.max_in_flight
+        mapper = stack.enter_context(ThreadPoolExecutor(workers)).map if workers > 1 else map
+        examples = ((f"{group}/{ex.id}", group, ex) for group, ds in splits for ex in ds)
+        for chunk in chunked(examples):
+            prompts = [_prompt(rid, ex) for rid, _, ex in chunk]
+            outcomes = list(mapper(_complete, [ex for _, _, ex in chunk], prompts))
+            records: tuple[list[dict], list[dict], list[dict]] = ([], [], [])
+            for (rid, group, ex), prompt, (response, error) in zip(chunk, prompts, outcomes):
+                if error is not None:
+                    complete_errors.append({"id": rid, "stage": "complete", "error": error})
+                gold_examples.append(ex.with_id(rid))
+                groups[rid] = group
+                prediction = parse_predictions(response, labels)
+                counts[rid] = score_example(ex, prediction, cfg.scoring_mode)
+                sha = _sha(prompt)
+                pairs, dropped = prediction.pairs, prediction.dropped_unknown_labels
+                records[0].append({"id": rid, "prompt_sha": sha, "prompt": prompt})
+                records[1].append({"id": rid, "prompt_sha": sha, "response": response})
+                records[2].append(
+                    {"id": rid, "group": group, "pairs": pairs, "dropped_unknown_labels": dropped}
+                )
+            for handle, chunk_records in zip(logs, records):
+                handle.write(jsonl_lines(chunk_records))
+            logs[3].write("".join(f"{rid}\t{group}\n" for rid, group, _ in chunk))
+
+    save_dataset(Dataset(tuple(gold_examples), labels, "gold"), out / "gold.jsonl")
+    errors = prompt_errors + complete_errors
     if errors:
         dump_jsonl(out / "errors.jsonl", errors)
     else:
         (out / "errors.jsonl").unlink(missing_ok=True)
     failed = len({error["id"] for error in errors})  # an example may fail in two stages
-    if jobs and failed / len(jobs) > cfg.max_error_fraction:
+    if counts and failed / len(counts) > cfg.max_error_fraction:
         raise HarnessError(
-            f"{failed}/{len(jobs)} examples failed "
+            f"{failed}/{len(counts)} examples failed "
             f"(budget {cfg.max_error_fraction:.0%}); see {out / 'errors.jsonl'}"
         )
 
     result = aggregate(counts, groups, cfg.scoring_mode)
-    payload = {
-        "name": cfg.name,
-        "config_hash": config_hash(cfg),
-        "result": result.to_dict(),
-    }
-    (out / "result.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    payload = {"name": cfg.name, "config_hash": config_hash(cfg), "result": result.to_dict()}
+    _write_json(out / "result.json", payload)
     render_report({cfg.name: result}, out_dir=out)
     return result
 

@@ -351,6 +351,33 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 
+    def test_repeated_split_group_exits_2_before_any_request(self, tmp_path, capsys, http_server):
+        splits = [["Clean", CLEAN], ["Clean", str(DATA_DIR / "typos.jsonl")]]
+        model = {"kind": "remote", "endpoint": http_server.url}
+        config = eval_config(tmp_path, test_splits=splits, model=model)
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "test split group 'Clean'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert http_server.seen == []
+
+    def test_label_file_missing_a_split_slot_type_exits_2_before_any_request(
+        self, tmp_path, capsys, http_server
+    ):
+        labels = tmp_path / "labels.txt"
+        labels.write_text("artist\n", encoding="utf-8")
+        missing = next(name for name in load_dataset(CLEAN).labels if name != "artist")
+        config = eval_config(
+            tmp_path,
+            test_splits={"Clean": CLEAN},
+            labels_path=str(labels),
+            model={"kind": "remote", "endpoint": http_server.url},
+        )
+        assert run_cli("eval", "--config", str(config)) == 2
+        err = capsys.readouterr().err
+        assert f"slot type {missing!r} of split 'Clean'" in err and str(labels) in err
+        assert not (tmp_path / "run").exists()
+        assert http_server.seen == []
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         config = eval_config(tmp_path)
         payload = json.loads(config.read_text(encoding="utf-8"))

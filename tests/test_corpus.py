@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 import random
 import sys
 
@@ -11,11 +12,13 @@ from hypothesis import strategies as st
 
 from oracles import canonical_bio_repair
 from slotnoise.corpus import (
+    CHUNK_SIZE,
     Dataset,
     LabeledExample,
     LabelSet,
     SlotSpan,
     bio_to_spans,
+    dump_jsonl,
     is_token,
     leftmost_match,
     load_dataset,
@@ -260,6 +263,18 @@ class TestIO:
         path.write_text("", encoding="utf-8")
         with pytest.raises(ConfigError):
             load_dataset(path, fmt="parquet")
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK_SIZE, CHUNK_SIZE + 1])
+    def test_dump_jsonl_bytes_do_not_depend_on_chunking(self, tmp_path, n):
+        records = [{"id": f"r{i}", "text": "café ☕", "pairs": [["a", "b"]]} for i in range(n)]
+        path = tmp_path / "records.jsonl"
+        path.write_text("stale\n", encoding="utf-8")
+        dump_jsonl(path, iter(records))
+        expected = "".join(
+            json.dumps(record, ensure_ascii=False, sort_keys=True) + "\n" for record in records
+        )
+        assert path.read_text(encoding="utf-8") == expected
+        assert (path.stat().st_size == 0) == (n == 0)
 
     def test_loaded_examples_satisfy_invariants(self, data_dir):
         for split in data_dir.glob("*.jsonl"):

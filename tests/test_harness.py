@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from slotnoise import client as client_mod
+from slotnoise import corpus as corpus_mod
 from slotnoise import harness as harness_mod
 from slotnoise import perturb
 from slotnoise.client import ModelConfig
@@ -38,6 +39,7 @@ from slotnoise.harness import (
 from slotnoise.scorer import MatchCounts, aggregate
 
 from conftest import DATA_DIR, SINGLE_SPLITS
+from httpfake import chat_reply
 from test_scorer import TABLE_FIXTURE_ROW, table_fixture_result
 
 
@@ -270,6 +272,60 @@ class TestRunExperiment:
         lines = (tmp_path / "run" / "responses.jsonl").read_text(encoding="utf-8").splitlines()
         responses = {r["id"]: r["response"] for r in map(json.loads, lines)}
         assert f'"{ex.surface(old)}" is {new_type}.' in responses[f"Clean/{ex.id}"]
+
+
+def tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestChunks:
+    """Walking examples in chunks of 7 instead of CHUNK_SIZE changes no byte."""
+
+    def test_failures_spread_across_chunks(self, tmp_path, monkeypatch):
+        # 90 examples in 13 chunks of 7; each failing id fails in all three splits.
+        prompt_failing, complete_failing = {"u004", "u020"}, {"u009", "u020", "u027"}
+        real_demos, real_complete = harness_mod._build_demos, client_mod.complete
+
+        def broken_demos(cfg_, ex, *args):
+            if ex.id in prompt_failing:
+                raise RuntimeError("no demonstrations")
+            return real_demos(cfg_, ex, *args)
+
+        def broken_complete(prompt, cfg_, side_channel=None, labels=()):
+            if side_channel.id in complete_failing:
+                raise RuntimeError("backend down")
+            return real_complete(prompt, cfg_, side_channel, labels)
+
+        monkeypatch.setattr(harness_mod, "_build_demos", broken_demos)
+        monkeypatch.setattr(client_mod, "complete", broken_complete)
+        runs = {}
+        for chunk_size in (corpus_mod.CHUNK_SIZE, 7):
+            monkeypatch.setattr(corpus_mod, "CHUNK_SIZE", chunk_size)
+            out = tmp_path / f"chunk{chunk_size}"
+            run_experiment(base_config(tmp_path, out_dir=str(out), max_error_fraction=0.2))
+            runs[chunk_size] = tree_bytes(out)
+            with pytest.raises(HarnessError, match="12/90 examples failed"):
+                run_experiment(base_config(tmp_path, out_dir=str(tmp_path / "over")))
+        assert runs[7] == runs[corpus_mod.CHUNK_SIZE]
+        records = [json.loads(line) for line in runs[7]["errors.jsonl"].decode().splitlines()]
+        stages = [r["stage"] for r in records]
+        assert stages == ["prompt"] * 6 + ["complete"] * 9
+        assert [r["id"] for r in records[:6]] == [
+            f"{group}/{i}" for group in ("Clean", "Typos", "Speech") for i in ("u004", "u020")
+        ]
+
+    def test_remote_model_in_flight(self, tmp_path, monkeypatch, http_server):
+        http_server.script(chat_reply('"jazz" is genre.'))
+        model = ModelConfig(kind="remote", endpoint=http_server.url, max_in_flight=2)
+        runs = {}
+        for chunk_size in (corpus_mod.CHUNK_SIZE, 7):
+            monkeypatch.setattr(corpus_mod, "CHUNK_SIZE", chunk_size)
+            out = tmp_path / f"chunk{chunk_size}"
+            sent = len(http_server.seen)
+            run_experiment(base_config(tmp_path, out_dir=str(out), model=model))
+            assert len(http_server.seen) > sent  # each run has its own cache
+            runs[chunk_size] = tree_bytes(out)
+        assert runs[7] == runs[corpus_mod.CHUNK_SIZE]
 
 
 class TestRetrieval:
