@@ -9,10 +9,10 @@ Mock kinds make the whole pipeline testable offline:
   recall/precision expectations for calibration tests.
 - fixed returns a constant string.
 
-Responses are cached on disk keyed by hash(model name, prompt, temperature)
-so interrupted runs resume without re-querying the backend. The keys of the
-echo_gold and noisy_oracle mocks also hash the gold spans they answer from,
-so a corrected gold span is answered anew.
+Responses are cached on disk keyed by hash(model name, prompt, temperature,
+and for echo_gold and noisy_oracle the gold spans they answer from), so an
+interrupted run resumes and a corrected gold span is answered anew. Only the
+thread calling cached_complete reads or writes the cache, never its workers.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Sequence
 
 from .corpus import LabeledExample
 from .errors import ClientError, ConfigError
@@ -265,16 +266,36 @@ class ResponseCache:
 
 
 def cached_complete(
-    prompt: str,
+    prompts: Sequence[str],
     cfg: ModelConfig,
     cache: ResponseCache,
-    side_channel: LabeledExample | None = None,
+    side_channels: Sequence[LabeledExample | None],
     labels: tuple[str, ...] = (),
-) -> str:
-    key = cache.key(cfg, prompt, side_channel)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    response = complete(prompt, cfg, side_channel, labels)
-    cache.put(key, cfg, prompt, response)
-    return response
+    mapper: Callable = map,
+) -> list[tuple[str, str | None]]:
+    """One (response, error) per prompt, in order; error is None on success.
+
+    The calling thread reads each distinct key once, sends each missing key once
+    through mapper (map, or an executor's map), and stores each response as it
+    arrives. A request that raises, or a response that cannot be stored, gives
+    its prompts an empty response and the error's text.
+    """
+    keys = [cache.key(cfg, p, ex) for p, ex in zip(prompts, side_channels)]
+    done = {key: (hit, None) for key in dict.fromkeys(keys) if (hit := cache.get(key)) is not None}
+    # Each missing key, in first-seen order, to one of its prompts; equal keys ask the same.
+    missing = {key: i for i, key in enumerate(keys) if key not in done}
+
+    def _ask(i: int) -> tuple[str, str | None]:
+        try:
+            return complete(prompts[i], cfg, side_channels[i], labels), None
+        except Exception as exc:
+            return "", str(exc)
+
+    for (key, i), (response, error) in zip(missing.items(), mapper(_ask, missing.values())):
+        if error is None:
+            try:
+                cache.put(key, cfg, prompts[i], response)
+            except OSError as exc:
+                response, error = "", str(exc)
+        done[key] = response, error
+    return [done[key] for key in keys]

@@ -6,7 +6,7 @@ through the pipeline (demonstrations -> prompt -> cached completion -> parse
 aggregates an :class:`EvalResult` per perturbation group. An interrupted run
 leaves partial logs, which the rerun overwrites while its cache resumes.
 With mock clients the pipeline is bit-deterministic under a fixed config, and
-a warm cache reproduces the identical result with zero backend calls.
+a warm cache reproduces the identical result with zero chat-completion calls.
 """
 
 from __future__ import annotations
@@ -127,7 +127,15 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        data = json.loads(path.read_text(encoding="utf-8"))
+
+        def _unique(pairs: list[tuple[str, object]]) -> dict:
+            keys = [key for key, _ in pairs]
+            repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+            if repeated is not None:
+                raise ConfigError(f"key {repeated!r} is repeated in {path}")
+            return dict(pairs)
+
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique)
         return cls.from_dict(data, base_dir=path.parent)
 
 
@@ -233,12 +241,6 @@ def _execute(
             prompt_errors.append({"id": rid, "stage": "prompt", "error": str(exc)})
             return render_prompt(template, labels, None, ex)
 
-    def _complete(ex: LabeledExample, prompt: str) -> tuple[str, str | None]:
-        try:
-            return cached_complete(prompt, cfg.model, cache, ex, labels.names), None
-        except Exception as exc:
-            return "", str(exc)
-
     names = ("prompts.jsonl", "responses.jsonl", "predictions.jsonl", "groups.tsv")
     with ExitStack() as stack:
         logs = [stack.enter_context((out / name).open("w", encoding="utf-8")) for name in names]
@@ -247,7 +249,8 @@ def _execute(
         examples = ((f"{group}/{ex.id}", group, ex) for group, ds in splits for ex in ds)
         for chunk in chunked(examples):
             prompts = [_prompt(rid, ex) for rid, _, ex in chunk]
-            outcomes = list(mapper(_complete, [ex for _, _, ex in chunk], prompts))
+            exs = [ex for _, _, ex in chunk]
+            outcomes = cached_complete(prompts, cfg.model, cache, exs, labels.names, mapper)
             records: tuple[list[dict], list[dict], list[dict]] = ([], [], [])
             for (rid, group, ex), prompt, (response, error) in zip(chunk, prompts, outcomes):
                 if error is not None:

@@ -360,6 +360,30 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert http_server.seen == []
 
+    @pytest.mark.parametrize(
+        "overrides, field, repeated",
+        [
+            ({}, '"seed": 3', '"seed": 4'),
+            ({"test_splits": {"Clean": CLEAN}}, f'"Clean": "{CLEAN}"', '"Clean": "typos.jsonl"'),
+            ({}, '"kind": "echo_gold"', '"kind": "echo_gold"'),
+            ({"pool_specs": [{"kind": "char_typos", "p": 0.3}]}, '"p": 0.3', '"p": 0.5'),
+        ],
+        ids=["top", "test_splits", "model", "pool_spec"],
+    )
+    def test_repeated_key_exits_2_before_any_write(
+        self, tmp_path, capsys, overrides, field, repeated
+    ):
+        cache = tmp_path / "cache"
+        config = eval_config(tmp_path, cache_dir=str(cache), **overrides)
+        text = config.read_text(encoding="utf-8")
+        assert text.count(field) == 1
+        config.write_text(text.replace(field, f"{field}, {repeated}"), encoding="utf-8")
+        assert run_cli("eval", "--config", str(config)) == 2
+        key = repeated.split('"')[1]
+        assert f"key {key!r} is repeated in {config}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
     def test_label_file_missing_a_split_slot_type_exits_2_before_any_request(
         self, tmp_path, capsys, http_server
     ):

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import socket
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -86,10 +87,64 @@ class TestCache:
         monkeypatch.setattr(client_mod, "complete", counting)
         cache = ResponseCache(tmp_path / "cache")
         cfg = ModelConfig(kind="echo_gold")
-        first = cached_complete("p1", cfg, cache, side_channel=GOLD)
-        second = cached_complete("p1", cfg, cache, side_channel=GOLD)
-        assert first == second
+        first = cached_complete(["p1"], cfg, cache, [GOLD])
+        second = cached_complete(["p1"], cfg, cache, [GOLD])
+        assert first == second == [(complete("p1", cfg, GOLD), None)]
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_batch_reads_each_key_once_and_sends_each_miss_once(
+        self, tmp_path, monkeypatch, workers
+    ):
+        calls, reads = [], []
+        real_complete, real_get = client_mod.complete, ResponseCache.get
+
+        def counting(prompt, cfg, side_channel=None, labels=()):
+            calls.append(prompt)
+            return real_complete(prompt, cfg, side_channel, labels)
+
+        def reading(self, key):
+            reads.append(key)
+            return real_get(self, key)
+
+        monkeypatch.setattr(client_mod, "complete", counting)
+        monkeypatch.setattr(ResponseCache, "get", reading)
+        cache = ResponseCache(tmp_path / "cache")
+        cfg = ModelConfig(kind="fixed", fixed_text="val")
+        cached_complete(["b"], cfg, cache, [None])
+        with ThreadPoolExecutor(workers) as pool:
+            mapper = pool.map if workers > 1 else map
+            out = cached_complete(["a", "b", "a", "c", "a"], cfg, cache, [None] * 5, (), mapper)
+        assert out == [("val", None)] * 5
+        assert calls[0] == "b" and sorted(calls[1:]) == ["a", "c"]  # "b" was cached first
+        assert len(reads) == 1 + 3
+
+    def test_a_failed_request_or_unstorable_response_is_that_prompts_error(
+        self, tmp_path, monkeypatch
+    ):
+        real_put = ResponseCache.put
+
+        def flaky(prompt, cfg, side_channel=None, labels=()):
+            if prompt == "bad":
+                raise ClientError("backend down", status=503)
+            return prompt.upper()
+
+        def put(self, key, cfg, prompt, response):
+            if prompt == "full":
+                raise OSError("no space left on device")
+            real_put(self, key, cfg, prompt, response)
+
+        monkeypatch.setattr(client_mod, "complete", flaky)
+        monkeypatch.setattr(ResponseCache, "put", put)
+        cache = ResponseCache(tmp_path / "cache")
+        cfg = ModelConfig(kind="fixed")
+        out = cached_complete(["ok", "bad", "full", "ok"], cfg, cache, [None] * 4)
+        assert out == [
+            ("OK", None), ("", "backend down"), ("", "no space left on device"), ("OK", None)
+        ]
+        assert cache.get(cache.key(cfg, "ok")) == "OK"
+        assert cache.get(cache.key(cfg, "bad")) is None
+        assert cache.get(cache.key(cfg, "full")) is None
 
     def test_distinct_prompts_distinct_keys(self, tmp_path):
         cache = ResponseCache(tmp_path / "cache")
@@ -137,7 +192,7 @@ class TestCache:
         cache = ResponseCache(tmp_path / "cache")
         cfg = ModelConfig(kind="fixed", fixed_text="val")
         key = cache.key(cfg, "p")
-        cached_complete("p", cfg, cache)
+        cached_complete(["p"], cfg, cache, [None])
         cache_file = tmp_path / "cache" / f"{key}.json"
         if damage == "truncate":
             cache_file.write_bytes(cache_file.read_bytes()[:10])
@@ -156,12 +211,12 @@ class TestCache:
         cache = ResponseCache(tmp_path / "cache")
         cfg = ModelConfig(kind="fixed", fixed_text="val")
         key = cache.key(cfg, "p")
-        cached_complete("p", cfg, cache)
+        cached_complete(["p"], cfg, cache, [None])
         cache_file = tmp_path / "cache" / f"{key}.json"
         cache_file.write_text("{not json", encoding="utf-8")
         with caplog.at_level("WARNING"):
-            out = cached_complete("p", cfg, cache)
-        assert out == "val"
+            out = cached_complete(["p"], cfg, cache, [None])
+        assert out == [("val", None)]
         assert "miss" in caplog.text
         assert json.loads(cache_file.read_text(encoding="utf-8"))["response"] == "val"
 

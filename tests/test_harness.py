@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -15,7 +16,7 @@ from slotnoise import client as client_mod
 from slotnoise import corpus as corpus_mod
 from slotnoise import harness as harness_mod
 from slotnoise import perturb
-from slotnoise.client import ModelConfig
+from slotnoise.client import ModelConfig, ResponseCache
 from slotnoise.corpus import (
     Dataset,
     LabeledExample,
@@ -326,6 +327,111 @@ class TestChunks:
             assert len(http_server.seen) > sent  # each run has its own cache
             runs[chunk_size] = tree_bytes(out)
         assert runs[7] == runs[corpus_mod.CHUNK_SIZE]
+
+
+class TestInFlight:
+    """The cache stays on the calling thread; the workers only call the backend."""
+
+    def _remote(self, server, max_in_flight=2):
+        return ModelConfig(kind="remote", endpoint=server.url, max_in_flight=max_in_flight)
+
+    def test_a_repeated_prompt_is_sent_once(self, tmp_path, http_server):
+        copy = tmp_path / "copy.jsonl"
+        save_dataset(load_dataset(DATA_DIR / "clean.jsonl"), copy)
+        splits = (("Clean", str(DATA_DIR / "clean.jsonl")), ("Copy", str(copy)))
+        http_server.script(chat_reply('"jazz" is genre.'))
+        runs = {}
+        for workers in (1, 2):
+            out = tmp_path / f"run{workers}"
+            sent = len(http_server.seen)
+            model = self._remote(http_server, workers)
+            cfg = base_config(tmp_path, out_dir=str(out), test_splits=splits, demo_k=0, model=model)
+            run_experiment(cfg)
+            bodies = [seen.body for seen in http_server.seen[sent:]]
+            assert len(bodies) == len(set(bodies)) == 30
+            runs[workers] = tree_bytes(out)
+        # Only the settings differ: config.json and the config hash in result.json.
+        for tree in runs.values():
+            del tree["config.json"]
+            tree["result.json"] = json.loads(tree["result.json"])["result"]
+        assert runs[1] == runs[2]
+
+    def test_workers_only_call_the_backend(self, tmp_path, monkeypatch, http_server):
+        threads: dict[str, set[bool]] = {"get": set(), "put": set(), "complete": set()}
+        real_get, real_put, real_complete = ResponseCache.get, ResponseCache.put, client_mod.complete
+
+        def on_main(name):
+            threads[name].add(threading.current_thread() is threading.main_thread())
+
+        def get(self, key):
+            on_main("get")
+            return real_get(self, key)
+
+        def put(self, *args):
+            on_main("put")
+            return real_put(self, *args)
+
+        def complete(*args):
+            on_main("complete")
+            return real_complete(*args)
+
+        monkeypatch.setattr(ResponseCache, "get", get)
+        monkeypatch.setattr(ResponseCache, "put", put)
+        monkeypatch.setattr(client_mod, "complete", complete)
+        http_server.script(chat_reply('"jazz" is genre.'))
+        run_experiment(base_config(tmp_path, model=self._remote(http_server)))
+        assert threads == {"get": {True}, "put": {True}, "complete": {False}}
+
+    @pytest.mark.parametrize("budget", [0.1, 0.0])
+    def test_an_unstorable_response_is_a_failed_completion(self, tmp_path, monkeypatch, budget):
+        real_put = ResponseCache.put
+        puts = []
+
+        def put(self, *args):
+            puts.append(args[0])
+            if len(puts) == 1:
+                raise OSError("no space left on device")
+            return real_put(self, *args)
+
+        monkeypatch.setattr(ResponseCache, "put", put)
+        cfg = base_config(
+            tmp_path,
+            test_splits=(("Clean", str(DATA_DIR / "clean.jsonl")),),
+            demo_k=0,
+            model=ModelConfig(kind="echo_gold", max_in_flight=2),
+            max_error_fraction=budget,
+        )
+        if budget == 0.0:
+            with pytest.raises(HarnessError, match="1/30 examples failed"):
+                run_experiment(cfg)
+        else:
+            failed = next(e for e in run_experiment(cfg).per_example if e.id == "Clean/u001")
+            assert (failed.tp, failed.fp, failed.fn) == (0, 0, 1)
+        out = tmp_path / "run"
+        errors = (out / "errors.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line) for line in errors] == [
+            {"id": "Clean/u001", "stage": "complete", "error": "no space left on device"}
+        ]
+        first = json.loads((out / "responses.jsonl").read_text(encoding="utf-8").splitlines()[0])
+        assert (first["id"], first["response"]) == ("Clean/u001", "")
+        assert not (out / "cache" / f"{puts[0]}.json").exists()
+
+    def test_warm_threaded_rerun_sends_nothing(self, tmp_path, http_server):
+        http_server.script(chat_reply('"jazz" is genre.'))
+        cfg = base_config(tmp_path, model=self._remote(http_server))
+
+        def outputs():
+            tree = tree_bytes(tmp_path / "run")
+            return {name: data for name, data in tree.items() if not name.startswith("cache/")}
+
+        run_experiment(cfg)
+        cold = outputs()
+        prompts = {json.loads(line)["prompt_sha"] for line in cold["prompts.jsonl"].splitlines()}
+        assert len(http_server.seen) == len(prompts)
+        sent = len(http_server.seen)
+        run_experiment(cfg)
+        assert len(http_server.seen) == sent
+        assert outputs() == cold
 
 
 class TestRetrieval:
