@@ -107,15 +107,14 @@ def cmd_demo_preview(args: argparse.Namespace) -> int:
     specs = _member_specs(args, "pool")
     pool = pools.build_pool(clean, specs)
     labels = pool.clean.labels
+    candidates = pool.select(args.pool_label).examples
+    if args.strategy == demos.RETRIEVE_STRATEGY:
+        candidates = demos.PoolIndex(candidates)
     for ex in list(test)[: args.count]:
         if args.mode == demos.ENTITY_MODE:
-            selected = demos.build_entity_demos(
-                ex, pool, args.pool_label, labels, args.strategy, args.seed
-            )
+            selected = demos.build_entity_demos(ex, candidates, labels, args.strategy, args.seed)
         else:
-            selected = demos.build_instance_demos(
-                ex, pool, args.pool_label, args.strategy, args.k, args.seed
-            )
+            selected = demos.build_instance_demos(ex, candidates, args.strategy, args.k, args.seed)
         print(f"# {ex.id}: {ex.utterance}")
         print(selected.text())
         print()

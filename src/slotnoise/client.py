@@ -32,6 +32,7 @@ from typing import Callable, Sequence
 
 from .corpus import LabeledExample
 from .errors import ClientError, ConfigError
+from .parser import answer_clause
 
 log = logging.getLogger(__name__)
 
@@ -71,6 +72,8 @@ class ModelConfig:
             raise ConfigError(f"error_rate out of range: {self.error_rate}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
+        if self.kind == REMOTE and not self.endpoint:
+            raise ConfigError("remote client requires an endpoint")
 
 
 def model_key(cfg: ModelConfig) -> str:
@@ -86,7 +89,7 @@ def model_key(cfg: ModelConfig) -> str:
 
 
 def _render_gold(ex: LabeledExample) -> str:
-    lines = [f'"{ex.surface(span)}" is {span.slot_type}.' for span in ex.spans]
+    lines = [answer_clause(ex.surface(span), span.slot_type) + "." for span in ex.spans]
     return "\n".join(lines) if lines else "none"
 
 
@@ -97,15 +100,15 @@ def _complete_noisy(
     rng = random.Random(int.from_bytes(digest[:8], "big"))
     lines: list[str] = []
     for span in ex.spans:
+        label = span.slot_type
         if rng.random() < cfg.error_rate:
             if rng.random() < 0.5:
                 continue  # drop
             others = [l for l in labels if l != span.slot_type]
             if not others:
                 continue
-            lines.append(f'"{ex.surface(span)}" is {rng.choice(others)}.')
-        else:
-            lines.append(f'"{ex.surface(span)}" is {span.slot_type}.')
+            label = rng.choice(others)
+        lines.append(answer_clause(ex.surface(span), label) + ".")
     return "\n".join(lines) if lines else "none"
 
 
@@ -183,8 +186,6 @@ def _post_json(
 
 
 def _complete_remote(prompt: str, cfg: ModelConfig) -> str:
-    if not cfg.endpoint:
-        raise ConfigError("remote client requires an endpoint")
     token = os.environ.get(API_TOKEN_ENV, "")
     headers = {"Authorization": f"Bearer {token}"} if token else None
     payload = {

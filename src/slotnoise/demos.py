@@ -5,10 +5,12 @@ The default embedding is a hashed character-trigram term-frequency vector
 provider can be plugged in via :func:`http_embedding_provider` when higher
 fidelity retrieval is wanted.
 
-Retrieval ranks against a :class:`PoolIndex`, the candidates of one pool
-embedded once into a matrix. A run builds one index and ranks every query
-against it, so each pool candidate is embedded once per run. Ranking is
-exact top-k by cosine similarity, ties broken by ascending candidate id.
+The demonstration builders take the candidates they choose from: a sequence
+of examples, or a :class:`PoolIndex` over them, which holds the candidates
+embedded once into a matrix. Retrieval ranks against the index; a run builds
+one and ranks every query against it, so each candidate is embedded once per
+run (a plain sequence gets a local index per call). Ranking is exact top-k
+by cosine similarity, ties broken by ascending candidate id.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from .client import _post_json
 from .corpus import LabeledExample, LabelSet
 from .errors import ClientError, ConfigError, DataError
-from .pools import DataPool
+from .parser import answer_clause
 
 EMBED_DIM = 256
 TIE_SLACK = 1e-9  # batched scores this close to the k-th are re-scored exactly
@@ -100,9 +102,9 @@ def _embed_texts(
     return matrix
 
 
-def embed(text: str, provider: EmbeddingProvider | None = None) -> np.ndarray:
-    """Embed one text; output is L2-normalized (the zero vector stays zero)."""
-    return _embed_texts([text], provider, {})[0]
+def embed(text: str) -> np.ndarray:
+    """Embed one text locally; output is L2-normalized (the zero vector stays zero)."""
+    return _embed_texts([text], None, {})[0]
 
 
 class PoolIndex:
@@ -169,18 +171,27 @@ class PoolIndex:
         return [self.candidates[i] for _, _, i in ranked[:k]]
 
 
+Candidates = Sequence[LabeledExample] | PoolIndex
+
+
+def _index(candidates: Candidates) -> PoolIndex:
+    """candidates as an index: itself, or a new one with the local embedding."""
+    return candidates if isinstance(candidates, PoolIndex) else PoolIndex(candidates)
+
+
+def _examples(candidates: Candidates) -> Sequence[LabeledExample]:
+    return candidates.candidates if isinstance(candidates, PoolIndex) else candidates
+
+
 def rank_by_similarity(
-    query: LabeledExample,
-    candidates: Sequence[LabeledExample] | PoolIndex,
-    k: int,
-    provider: EmbeddingProvider | None = None,
+    query: LabeledExample, candidates: Candidates, k: int
 ) -> list[LabeledExample]:
     """Top-k candidates by cosine similarity to the query utterance.
 
-    candidates is a list of examples, embedded here with provider, or a
-    :class:`PoolIndex`, which ranks with the provider it was built with.
-    Ties break by ascending candidate id, so the result is independent of
-    the candidate order.
+    candidates is a :class:`PoolIndex`, which ranks with the provider it was
+    built with, or a sequence of examples, embedded here locally. Ties break
+    by ascending candidate id, so the result is independent of the candidate
+    order.
 
     One matrix-vector product scores every candidate. BLAS batching
     reassociates the sums, so those scores can differ from per-candidate dot
@@ -193,16 +204,8 @@ def rank_by_similarity(
         raise ConfigError(f"k must be >= 1, got {k}")
     if not len(candidates):
         return []
-    if not isinstance(candidates, PoolIndex):
-        candidates = PoolIndex(candidates, provider)
-    elif provider is not None and provider is not candidates.provider:
-        raise ConfigError("an index ranks with the embedding provider it was built with")
-    return candidates.top_k(candidates.embed(query.utterance), k)
-
-
-def entity_line(surface: str, label: str) -> str:
-    """The canonical demonstrated answer line for one entity."""
-    return f'"{surface}" is {label}.\n'
+    index = _index(candidates)
+    return index.top_k(index.embed(query.utterance), k)
 
 
 @dataclass(frozen=True)
@@ -213,18 +216,12 @@ class DemoItem:
 
 @dataclass(frozen=True)
 class DemonstrationSet:
-    """Rendered demonstrations with provenance back to pool example ids."""
+    """Rendered demonstrations with provenance back to candidate example ids."""
 
-    mode: str
     items: tuple[DemoItem, ...]
-    pool_label: str
-    strategy: str
-    k: int
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown demo mode: {self.mode!r}")
         for item in self.items:
             if not item.rendered or not item.rendered.endswith("\n"):
                 raise DataError("rendered demonstrations must be non-empty and newline-terminated")
@@ -235,57 +232,41 @@ class DemonstrationSet:
 
 def _render_instance(ex: LabeledExample) -> str:
     if ex.spans:
-        clauses = "; ".join(
-            f'"{ex.surface(span)}" is {span.slot_type}' for span in ex.spans
-        )
+        clauses = "; ".join(answer_clause(ex.surface(span), span.slot_type) for span in ex.spans)
     else:
         clauses = "none"
     return f"Sentence: {ex.utterance}\nEntities: {clauses}\n"
 
 
-def _pool_index(index: PoolIndex | None, pool: DataPool, pool_label: str) -> PoolIndex:
-    """index checked to hold exactly the candidates of pool_label, or a new local one."""
-    examples = pool.select(pool_label).examples
-    if index is None:
-        return PoolIndex(examples)
-    if index.candidates != examples:
-        raise ConfigError(f"demonstration index was not built over pool {pool_label!r}")
-    return index
-
-
 def build_entity_demos(
     input_ex: LabeledExample,
-    pool: DataPool,
-    pool_label: str,
+    candidates: Candidates,
     labels: LabelSet,
     strategy: str = RANDOM_STRATEGY,
     seed: int = 0,
-    index: PoolIndex | None = None,
 ) -> DemonstrationSet:
     """One ``"entity" is label.`` item per label, in label order.
 
     random picks uniformly over (example, span) pairs of that label;
-    retrieve takes the span from the label-bearing example most similar to
-    the input utterance, ranked against index (by default a new index over
-    the pool with the local embedding). The input is embedded once and every
+    retrieve takes the span from the label-bearing candidate most similar to
+    the input utterance, ranked against candidates as in
+    :func:`rank_by_similarity`. The input is embedded once and every
     candidate scored once; each label's pick is the top-1 over its rows.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
     if strategy == RANDOM_STRATEGY:
         by_label: dict[str, list[tuple[LabeledExample, int]]] = {}
-        for ex in pool.select(pool_label):
+        for ex in _examples(candidates):
             for i, span in enumerate(ex.spans):
                 by_label.setdefault(span.slot_type, []).append((ex, i))
         supported = by_label.keys()
     else:
-        index = _pool_index(index, pool, pool_label)
+        index = _index(candidates)
         supported = index.label_rows.keys()
     missing = [name for name in labels if name not in supported]
     if missing:
-        raise DataError(
-            f"pool {pool_label!r} has no example for labels: {', '.join(missing)}"
-        )
+        raise DataError(f"no candidate demonstrates labels: {', '.join(missing)}")
     rng = random.Random(seed)
     if strategy == RETRIEVE_STRATEGY:
         query = index.embed(input_ex.utterance)
@@ -298,54 +279,38 @@ def build_entity_demos(
         else:
             ex = index.top_k(query, 1, index.label_rows[name], scores)[0]
             span = next(s for s in ex.spans if s.slot_type == name)
-        items.append(DemoItem(entity_line(ex.surface(span), name), (ex.id,)))
-    return DemonstrationSet(
-        mode=ENTITY_MODE,
-        items=tuple(items),
-        pool_label=pool_label,
-        strategy=strategy,
-        k=len(items),
-    )
+        items.append(DemoItem(answer_clause(ex.surface(span), name) + ".\n", (ex.id,)))
+    return DemonstrationSet(tuple(items))
 
 
 def build_instance_demos(
     input_ex: LabeledExample,
-    pool: DataPool,
-    pool_label: str,
+    candidates: Candidates,
     strategy: str = RANDOM_STRATEGY,
     k: int = 5,
     seed: int = 0,
-    index: PoolIndex | None = None,
 ) -> DemonstrationSet:
     """k full examples rendered as Sentence/Entities blocks.
 
     random samples uniformly without replacement; retrieve takes the top-k
-    by similarity, ranked against index as in :func:`build_entity_demos`.
-    Asking for more examples than the pool holds returns the whole pool
+    by similarity, ranked against candidates by :func:`rank_by_similarity`.
+    Asking for more examples than there are candidates returns them all
     with a note.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
     if k <= 0:
-        return DemonstrationSet(INSTANCE_MODE, (), pool_label, strategy, 0)
-    ds = pool.select(pool_label)
-    if not len(ds):
-        raise DataError(f"pool {pool_label!r} is empty")
+        return DemonstrationSet(())
+    if not len(candidates):
+        raise DataError("no candidates to demonstrate from")
     notes: tuple[str, ...] = ()
-    if k > len(ds):
-        notes = (f"requested {k} demonstrations, pool has {len(ds)}",)
-        k = len(ds)
+    if k > len(candidates):
+        notes = (f"requested {k} demonstrations, pool has {len(candidates)}",)
+        k = len(candidates)
     if strategy == RANDOM_STRATEGY:
-        rng = random.Random(seed)
-        chosen = [ds.examples[i] for i in rng.sample(range(len(ds)), k)]
+        examples = _examples(candidates)
+        chosen = [examples[i] for i in random.Random(seed).sample(range(len(examples)), k)]
     else:
-        chosen = rank_by_similarity(input_ex, _pool_index(index, pool, pool_label), k=k)
+        chosen = rank_by_similarity(input_ex, candidates, k=k)
     items = tuple(DemoItem(_render_instance(ex), (ex.id,)) for ex in chosen)
-    return DemonstrationSet(
-        mode=INSTANCE_MODE,
-        items=items,
-        pool_label=pool_label,
-        strategy=strategy,
-        k=len(items),
-        notes=notes,
-    )
+    return DemonstrationSet(items, notes)

@@ -24,6 +24,7 @@ from .client import ModelConfig, ResponseCache, cached_complete
 from .corpus import Dataset, LabeledExample, LabelSet, chunked, dump_jsonl, jsonl_lines
 from .corpus import load_dataset, save_dataset
 from .demos import (
+    Candidates,
     DemonstrationSet,
     ENTITY_MODE,
     INSTANCE_MODE,
@@ -154,20 +155,12 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _build_demos(
-    cfg: RunConfig,
-    ex: LabeledExample,
-    pool: DataPool,
-    labels: LabelSet,
-    index: PoolIndex | None,
+    cfg: RunConfig, ex: LabeledExample, candidates: Candidates, labels: LabelSet
 ) -> DemonstrationSet:
     demo_seed = derive_seed(cfg.seed, f"demos:{ex.id}")
     if cfg.demo_mode == ENTITY_MODE:
-        return build_entity_demos(
-            ex, pool, cfg.demo_pool, labels, cfg.demo_strategy, demo_seed, index
-        )
-    return build_instance_demos(
-        ex, pool, cfg.demo_pool, cfg.demo_strategy, cfg.demo_k, demo_seed, index
-    )
+        return build_entity_demos(ex, candidates, labels, cfg.demo_strategy, demo_seed)
+    return build_instance_demos(ex, candidates, cfg.demo_strategy, cfg.demo_k, demo_seed)
 
 
 def run_experiment(cfg: RunConfig) -> EvalResult:
@@ -178,9 +171,10 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
 def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
     """Run variants of one config that differ only in demo_k, template_id and out paths.
 
-    They share the template registry, label file, splits, pool and index, all loaded
-    before the first write. Without a label file a variant's labels are those observed
-    in the splits and its pool; a variant with demo_k 0 gets no pool.
+    They share the template registry, label file, splits, pool and demonstration
+    candidates (a PoolIndex under retrieve), all loaded before the first write. Without a
+    label file a variant's labels are those observed in the splits and its pool; a variant
+    with demo_k 0 gets no pool.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
@@ -195,15 +189,16 @@ def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
             raise ConfigError(
                 f"slot type {missing[0]!r} of split {group!r} is not in {cfg.labels_path}"
             )
-    pool = index = None
+    pool = candidates = None
     if any(sub.demo_k > 0 for sub in subs):
         clean = load_dataset(cfg.pool_clean, split_name="clean")
         pool = build_pool(clean, cfg.pool_specs)
+        candidates = pool.select(cfg.demo_pool).examples
         if cfg.demo_strategy == RETRIEVE_STRATEGY:
             provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
-            index = PoolIndex(pool.select(cfg.demo_pool).examples, provider)
+            candidates = PoolIndex(candidates, provider)
     return [
-        _execute(sub, registry, labels, splits, pool if sub.demo_k else None, index)
+        _execute(sub, registry, labels, splits, pool if sub.demo_k else None, candidates)
         for sub in subs
     ]
 
@@ -214,7 +209,7 @@ def _execute(
     labels: LabelSet | None,
     splits: Sequence[tuple[str, Dataset]],
     pool: DataPool | None,
-    index: PoolIndex | None,
+    candidates: Candidates | None,
 ) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,7 +228,7 @@ def _execute(
 
     def _prompt(rid: str, ex: LabeledExample) -> str:
         try:
-            demos = _build_demos(cfg, ex, pool, labels, index) if pool else None
+            demos = _build_demos(cfg, ex, candidates, labels) if pool else None
             return render_prompt(template, labels, demos, ex)
         except ConfigError:
             raise

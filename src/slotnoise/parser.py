@@ -17,7 +17,6 @@ import re
 from dataclasses import dataclass
 
 from .corpus import QUOTES, TERMINAL_PUNCT, LabelSet
-from .corpus import normalize_label  # re-exported: labels are matched by it
 
 _WS = re.compile(r"\s+")
 _NUMBERING = re.compile(r"^\s*(?:[-*•]+|\(?\d{1,3}[.)\]:]?)\s+")
@@ -27,6 +26,12 @@ _BRACKETED = re.compile(
     r"\(\s*[\"']([^\"']+)[\"']\s*,\s*[\"']([^\"']+)[\"']\s*\)"
 )
 _SKIP_SURFACES = {"", "none", "no entities", "n/a"}
+
+
+def answer_clause(surface: str, label: str) -> str:
+    """The clause ``"<surface>" is <label>`` that demonstrations and mock answers
+    write and :data:`_QUOTED_IS` reads back."""
+    return f'"{surface}" is {label}'
 
 
 @dataclass(frozen=True)

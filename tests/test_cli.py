@@ -9,6 +9,7 @@ import pytest
 
 from slotnoise.cli import main
 from slotnoise.corpus import load_dataset
+from slotnoise.demos import PoolIndex
 from slotnoise.perturb import spec_from_dict
 from slotnoise.pools import build_pool, save_pool
 
@@ -178,6 +179,24 @@ class TestDemoPreview:
         assert "# u001" in out
         assert '" is ' in out
 
+    @pytest.mark.parametrize("mode", ["instance", "entity"])
+    def test_retrieve_preview_embeds_the_pool_once(self, monkeypatch, capsys, mode):
+        built = []
+        init = PoolIndex.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(len(args[0]))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PoolIndex, "__init__", counting_init)
+        code = run_cli(
+            "demo-preview", "--in", CLEAN, "--clean", CLEAN,
+            "--mode", mode, "--strategy", "retrieve", "--count", "3",
+        )
+        assert code == 0
+        assert capsys.readouterr().out.count("# u") == 3
+        assert built == [len(load_dataset(CLEAN))]
+
     def test_preview_pool_uses_custom_lexicon(self, tmp_path, capsys):
         lexicon = tmp_path / "homophones.txt"
         lexicon.write_text("play\tpleigh\n", encoding="utf-8")
@@ -320,6 +339,14 @@ class TestConfigSchema:
         config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[composite])
         assert run_cli("eval", "--config", str(config)) == 2
         assert f"composite pool spec key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    def test_remote_model_without_endpoint_exits_2_before_any_write(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        config = eval_config(tmp_path, cache_dir=str(cache), model={"kind": "remote"})
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "remote client requires an endpoint" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 

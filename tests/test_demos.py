@@ -17,7 +17,7 @@ from slotnoise.demos import (
     embed,
     rank_by_similarity,
 )
-from slotnoise.errors import ClientError, ConfigError, DataError
+from slotnoise.errors import ClientError, DataError
 from slotnoise.perturb import PerturbationSpec
 from slotnoise.pools import build_pool
 
@@ -128,10 +128,10 @@ class TestRanking:
         query = make_example(["q"])
         candidates = [make_example(["x"], ex_id="x"), make_example(["y"], ex_id="y")]
         provider_a = FavouringProvider("x")
-        assert rank_by_similarity(query, candidates, k=1, provider=provider_a)[0].id == "x"
+        assert rank_by_similarity(query, PoolIndex(candidates, provider_a), k=1)[0].id == "x"
         del provider_a
         provider_b = FavouringProvider("y")
-        assert rank_by_similarity(query, candidates, k=1, provider=provider_b)[0].id == "y"
+        assert rank_by_similarity(query, PoolIndex(candidates, provider_b), k=1)[0].id == "y"
 
 
 class TestPoolIndex:
@@ -150,40 +150,29 @@ class TestPoolIndex:
             assert rows.tolist() == bearing
 
     def test_shared_index_matches_fresh_local_index(self, clean_dataset):
-        pool = small_pool(clean_dataset)
-        index = PoolIndex(pool.mixed.examples)
-        for query in clean_dataset.examples[:8]:
-            assert build_instance_demos(
-                query, pool, "mixed", "retrieve", k=4, index=index
-            ) == build_instance_demos(query, pool, "mixed", "retrieve", k=4)
-            assert build_entity_demos(
-                query, pool, "mixed", clean_dataset.labels, "retrieve", index=index
-            ) == build_entity_demos(query, pool, "mixed", clean_dataset.labels, "retrieve")
-
-    def test_index_over_other_candidates_is_config_error(self, clean_dataset):
-        pool = small_pool(clean_dataset)
-        query = clean_dataset.examples[0]
-        index = PoolIndex(pool.clean.examples)
-        with pytest.raises(ConfigError, match="mixed"):
-            build_instance_demos(query, pool, "mixed", "retrieve", k=2, index=index)
-        with pytest.raises(ConfigError, match="mixed"):
-            build_entity_demos(query, pool, "mixed", clean_dataset.labels, "retrieve", index=index)
+        # A PoolIndex and the plain sequence of its examples are the same candidates.
+        examples = small_pool(clean_dataset).mixed.examples
+        index = PoolIndex(examples)
+        labels = clean_dataset.labels
+        for strategy in ("random", "retrieve"):
+            for seed, query in enumerate(clean_dataset.examples[:8]):
+                assert build_instance_demos(
+                    query, index, strategy, k=4, seed=seed
+                ) == build_instance_demos(query, examples, strategy, k=4, seed=seed)
+                assert build_entity_demos(
+                    query, index, labels, strategy, seed=seed
+                ) == build_entity_demos(query, examples, labels, strategy, seed=seed)
 
     def test_provider_row_count_is_checked(self):
         with pytest.raises(ClientError, match="shape"):
             PoolIndex([make_example(["x"], ex_id="x")], provider=lambda texts: np.ones((2, 4)))
-
-    def test_index_ranks_only_with_its_own_provider(self):
-        index = PoolIndex([make_example(["x"], ex_id="x")])
-        with pytest.raises(ConfigError, match="provider"):
-            rank_by_similarity(make_example(["x"]), index, k=1, provider=lambda texts: np.ones((len(texts), 2)))
 
 
 class TestEntityDemos:
     def test_forced_choice(self):
         pool = build_pool(make_dataset([make_example(["play", "jazz"], [(1, 1, "genre")], "only")]), [])
         demos = build_entity_demos(
-            make_example(["hi"]), pool, "clean", LabelSet(("genre",)), "random", seed=0
+            make_example(["hi"]), pool.clean.examples, LabelSet(("genre",)), "random", seed=0
         )
         assert demos.items[0].rendered == '"jazz" is genre.\n'
         assert demos.items[0].source_ids == ("only",)
@@ -193,7 +182,7 @@ class TestEntityDemos:
         input_ex = clean_dataset.examples[0]
         for pool_label in ("clean", "augment", "mixed"):
             demos = build_entity_demos(
-                input_ex, pool, pool_label, clean_dataset.labels, "random", seed=3
+                input_ex, pool.select(pool_label).examples, clean_dataset.labels, "random", seed=3
             )
             assert len(demos.items) == len(clean_dataset.labels)
             for item, label in zip(demos.items, clean_dataset.labels):
@@ -204,14 +193,14 @@ class TestEntityDemos:
         labels = LabelSet(tuple(clean_dataset.labels) + ("unseen_label",))
         with pytest.raises(DataError, match="unseen_label"):
             build_entity_demos(
-                clean_dataset.examples[0], pool, "clean", labels, "random", seed=0
+                clean_dataset.examples[0], pool.clean.examples, labels, "random", seed=0
             )
 
     def test_retrieve_matches_argmax_oracle(self, clean_dataset):
         pool = small_pool(clean_dataset)
         labels = clean_dataset.labels
         query = clean_dataset.examples[5]
-        demos = build_entity_demos(query, pool, "mixed", labels, "retrieve", seed=0)
+        demos = build_entity_demos(query, pool.mixed.examples, labels, "retrieve", seed=0)
         qv = embed(query.utterance)
         for item, label in zip(demos.items, labels):
             bearing = [
@@ -234,14 +223,14 @@ class TestEntityDemos:
         queries = load_dataset(data_dir / "typos.jsonl").examples
         labels = clean_dataset.labels
         demos = [
-            build_entity_demos(query, pool, "clean", labels, "retrieve", index=index)
+            build_entity_demos(query, index, labels, "retrieve")
             for query in queries
         ]
         assert len(labels) > 1
         assert len(requests) == 1 + len(queries)
         assert requests[1:] == [[query.utterance] for query in queries]
         assert demos == [
-            build_entity_demos(query, pool, "clean", labels, "retrieve") for query in queries
+            build_entity_demos(query, pool.clean.examples, labels, "retrieve") for query in queries
         ]
 
     def test_retrieve_scores_every_candidate_once_per_query(self, clean_dataset):
@@ -261,16 +250,16 @@ class TestEntityDemos:
         queries = clean_dataset.examples[:5]
         for query in queries:
             assert build_entity_demos(
-                query, pool, "mixed", labels, "retrieve", index=index
-            ) == build_entity_demos(query, pool, "mixed", labels, "retrieve")
+                query, index, labels, "retrieve"
+            ) == build_entity_demos(query, pool.mixed.examples, labels, "retrieve")
         assert len(labels) > 1
         assert products == [index.matrix.shape] * len(queries)
 
     def test_random_is_pure_function_of_seed(self, clean_dataset):
         pool = small_pool(clean_dataset)
         query = clean_dataset.examples[2]
-        first = build_entity_demos(query, pool, "clean", clean_dataset.labels, "random", seed=11)
-        second = build_entity_demos(query, pool, "clean", clean_dataset.labels, "random", seed=11)
+        first = build_entity_demos(query, pool.clean.examples, clean_dataset.labels, "random", seed=11)
+        second = build_entity_demos(query, pool.clean.examples, clean_dataset.labels, "random", seed=11)
         assert first == second
 
 
@@ -280,7 +269,7 @@ class TestInstanceDemos:
             ["play", "jazz", "on", "spotify"], [(1, 1, "genre"), (3, 3, "service")], "p1"
         )
         pool = build_pool(make_dataset([ex]), [])
-        demos = build_instance_demos(make_example(["hi"]), pool, "clean", "random", k=1, seed=0)
+        demos = build_instance_demos(make_example(["hi"]), pool.clean.examples, "random", k=1, seed=0)
         assert demos.items[0].rendered == (
             'Sentence: play jazz on spotify\nEntities: "jazz" is genre; "spotify" is service\n'
         )
@@ -288,13 +277,13 @@ class TestInstanceDemos:
     def test_no_spans_renders_none(self):
         ex = make_example(["hello", "there"], ex_id="empty")
         pool = build_pool(make_dataset([ex]), [])
-        demos = build_instance_demos(make_example(["hi"]), pool, "clean", "random", k=1, seed=0)
+        demos = build_instance_demos(make_example(["hi"]), pool.clean.examples, "random", k=1, seed=0)
         assert demos.items[0].rendered.endswith("Entities: none\n")
 
     def test_retrieve_top3_matches_oracle(self, clean_dataset):
         pool = small_pool(clean_dataset)
         query = clean_dataset.examples[7]
-        demos = build_instance_demos(query, pool, "mixed", "retrieve", k=3, seed=0)
+        demos = build_instance_demos(query, pool.mixed.examples, "retrieve", k=3, seed=0)
         qv = embed(query.utterance)
         scored = sorted(
             pool.mixed.examples,
@@ -305,21 +294,21 @@ class TestInstanceDemos:
     def test_k_beyond_pool_returns_all_with_note(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[0], pool, "clean", "random", k=999, seed=0
+            clean_dataset.examples[0], pool.clean.examples, "random", k=999, seed=0
         )
-        assert demos.k == len(clean_dataset)
+        assert len(demos.items) == len(clean_dataset)
         assert demos.notes
 
     def test_k_zero_is_empty(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
-        demos = build_instance_demos(clean_dataset.examples[0], pool, "clean", "random", k=0, seed=0)
+        demos = build_instance_demos(clean_dataset.examples[0], pool.clean.examples, "random", k=0, seed=0)
         assert demos.items == ()
         assert demos.text() == ""
 
     def test_random_sampling_without_replacement(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[0], pool, "clean", "random", k=10, seed=4
+            clean_dataset.examples[0], pool.clean.examples, "random", k=10, seed=4
         )
         sources = [item.source_ids[0] for item in demos.items]
         assert len(sources) == len(set(sources)) == 10
@@ -327,7 +316,7 @@ class TestInstanceDemos:
     def test_rendered_contains_selected_surfaces_verbatim(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[1], pool, "clean", "random", k=5, seed=9
+            clean_dataset.examples[1], pool.clean.examples, "random", k=5, seed=9
         )
         by_id = {ex.id: ex for ex in pool.clean}
         for item in demos.items:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -68,3 +69,23 @@ def test_readme_names_every_perturbation_name():
     for kind, entry in perturb._TABLE.items():
         names.extend((kind, *entry.aliases))
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_src_modules_use_every_name_they_import():
+    # __init__.py is left out: it imports names to re-export them.
+    unused = []
+    for path in sorted((ROOT / "src" / "slotnoise").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+    assert unused == []

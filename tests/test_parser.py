@@ -3,8 +3,8 @@ from __future__ import annotations
 import random
 
 from slotnoise.client import ModelConfig, complete
-from slotnoise.corpus import LabelSet
-from slotnoise.parser import normalize_label, normalize_surface, parse_predictions
+from slotnoise.corpus import LabelSet, normalize_label
+from slotnoise.parser import normalize_surface, parse_predictions
 from slotnoise.scorer import gold_pairs
 
 from conftest import random_example

@@ -22,7 +22,7 @@ def tiny_template(body: str = "{labels}|{demonstrations}|{input}") -> PromptTemp
 
 def demos_from(*rendered: str) -> DemonstrationSet:
     items = tuple(DemoItem(r, ("src",)) for r in rendered)
-    return DemonstrationSet("instance", items, "clean", "random", len(items))
+    return DemonstrationSet(items)
 
 
 def test_direct_substitution():
@@ -37,7 +37,7 @@ def test_demos_joined_by_newline():
 
 
 def test_zero_demos_degrades_to_zero_shot():
-    empty = DemonstrationSet("instance", (), "clean", "random", 0)
+    empty = DemonstrationSet(())
     labels = LabelSet(("a",))
     ex = make_example(["hi", "there"])
     assert render_prompt(tiny_template(), labels, empty, ex) == render_prompt(
