@@ -1,7 +1,8 @@
 """Command-line surface binding all modules into user workflows.
 
 Exit codes: 0 success, 1 data error, 2 configuration error. No command
-mutates its input files, and all randomness flows from --seed (default 0).
+mutates its input files. All randomness flows from the run config's seeds,
+or from augment's --seed (default 0).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import corpus, demos, harness, perturb, pools, scorer
+from . import corpus, harness, perturb, pools, scorer
 from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
@@ -45,31 +46,25 @@ def _check_asset_flags(args: argparse.Namespace, kinds: list[str]) -> None:
             raise ConfigError(f"{flag} is read by none of the kinds built ({built})")
 
 
-def _member_specs(args: argparse.Namespace, seed_tag: str) -> list[perturb.PerturbationSpec]:
-    """One spec per --members kind, seeded from --seed and '<seed_tag>:<kind>'."""
-    kinds: list[str] = []
-    for name in args.members.split(","):
-        if not name.strip():
-            continue
-        kind = perturb.kind_from_name(name)
-        if kind == perturb.COMPOSITE:
-            raise ConfigError("composite members must not be composites")
-        if kind in kinds:
-            raise ConfigError(f"--members: {name.strip()!r} repeats kind {kind}")
-        kinds.append(kind)
-    _check_asset_flags(args, kinds)
-    return [_spec(args, k, perturb.derive_seed(args.seed, f"{seed_tag}:{k}")) for k in kinds]
-
-
 def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
+    """The --kind spec; each --members kind is seeded from --seed and 'member:<kind>'."""
     kind = perturb.kind_from_name(args.kind)
     if kind != perturb.COMPOSITE:
         _check_asset_flags(args, [kind])
         return _spec(args, kind, args.seed)
-    members = _member_specs(args, "member")
-    if not members:
+    kinds: list[str] = []
+    for name in filter(str.strip, args.members.split(",")):
+        member = perturb.kind_from_name(name)
+        if member == perturb.COMPOSITE:
+            raise ConfigError("composite members must not be composites")
+        if member in kinds:
+            raise ConfigError(f"--members: {name.strip()!r} repeats kind {member}")
+        kinds.append(member)
+    _check_asset_flags(args, kinds)
+    if not kinds:
         raise ConfigError("composite kind requires --members")
-    return perturb.compose(members)
+    seeds = [perturb.derive_seed(args.seed, f"member:{k}") for k in kinds]
+    return perturb.compose([_spec(args, k, seed) for k, seed in zip(kinds, seeds)])
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -89,10 +84,12 @@ def cmd_augment(args: argparse.Namespace) -> int:
 
 
 def cmd_pool(args: argparse.Namespace) -> int:
-    clean = corpus.load_dataset(args.in_path, split_name="clean")
-    specs = _member_specs(args, "pool")
-    pool = pools.build_pool(clean, specs)
-    pools.save_pool(pool, args.out, specs)
+    cfg = harness.RunConfig.from_json(args.config)
+    if not cfg.pool_clean:
+        raise ConfigError(f"{args.config} names no pool_clean to build the pool from")
+    clean = corpus.load_dataset(cfg.pool_clean, split_name="clean")
+    pool = pools.build_pool(clean, cfg.pool_specs)
+    pools.save_pool(pool, args.out, cfg.pool_specs)
     print(
         f"pool written to {args.out}: clean={len(pool.clean)} "
         f"augmented={len(pool.augmented)} mixed={len(pool.mixed)}",
@@ -102,20 +99,11 @@ def cmd_pool(args: argparse.Namespace) -> int:
 
 
 def cmd_demo_preview(args: argparse.Namespace) -> int:
-    test = corpus.load_dataset(args.in_path)
-    clean = corpus.load_dataset(args.clean, split_name="clean")
-    specs = _member_specs(args, "pool")
-    pool = pools.build_pool(clean, specs)
-    labels = pool.clean.labels
-    candidates = pool.select(args.pool_label).examples
-    if args.strategy == demos.RETRIEVE_STRATEGY:
-        candidates = demos.PoolIndex(candidates)
-    for ex in list(test)[: args.count]:
-        if args.mode == demos.ENTITY_MODE:
-            selected = demos.build_entity_demos(ex, candidates, labels, args.strategy, args.seed)
-        else:
-            selected = demos.build_instance_demos(ex, candidates, args.strategy, args.k, args.seed)
-        print(f"# {ex.id}: {ex.utterance}")
+    if args.count < 1:
+        raise ConfigError(f"--count must be >= 1, got {args.count}")
+    cfg = harness.RunConfig.from_json(args.config)
+    for rid, ex, selected in harness.preview_demos(cfg, args.count):
+        print(f"# {rid}: {ex.utterance}")
         print(selected.text())
         print()
     return 0
@@ -238,37 +226,27 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     sub = root.add_subparsers(dest="command", required=True)
 
-    def _add_spec_flags(p: argparse.ArgumentParser):
-        p.add_argument("--p", type=float, default=0.1, help="perturbation probability")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--members", default="", help="comma-separated member kinds")
-        p.add_argument("--homophones", default="", help="homophone lexicon path")
-        p.add_argument("--sentences", default="", help="irrelevant-sentence pool path")
-        p.add_argument("--vocab", default="", help="insertion vocabulary path")
-        p.add_argument("--paraphrase-provider", default="", dest="paraphrase_provider")
-
     p = sub.add_parser("augment", help="write a perturbed copy of a dataset")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--kind", required=True)
-    _add_spec_flags(p)
+    p.add_argument("--p", type=float, default=0.1, help="perturbation probability")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--members", default="", help="comma-separated member kinds")
+    p.add_argument("--homophones", default="", help="homophone lexicon path")
+    p.add_argument("--sentences", default="", help="irrelevant-sentence pool path")
+    p.add_argument("--vocab", default="", help="insertion vocabulary path")
+    p.add_argument("--paraphrase-provider", default="", dest="paraphrase_provider")
     p.set_defaults(func=cmd_augment)
 
-    p = sub.add_parser("pool", help="build and persist a demonstration pool")
-    p.add_argument("--in", dest="in_path", required=True, help="clean dataset path")
+    p = sub.add_parser("pool", help="build and persist a run config's demonstration pool")
+    p.add_argument("--config", required=True)
     p.add_argument("--out", required=True, help="output directory")
-    _add_spec_flags(p)
     p.set_defaults(func=cmd_pool)
 
-    p = sub.add_parser("demo-preview", help="print demonstrations for the first examples")
-    p.add_argument("--in", dest="in_path", required=True, help="test dataset path")
-    p.add_argument("--clean", required=True, help="clean pool dataset path")
-    p.add_argument("--mode", choices=demos.MODES, default=demos.INSTANCE_MODE)
-    p.add_argument("--strategy", choices=demos.STRATEGIES, default=demos.RANDOM_STRATEGY)
-    p.add_argument("--pool-label", choices=pools.POOL_LABELS, default="clean")
-    p.add_argument("--k", type=int, default=3)
+    p = sub.add_parser("demo-preview", help="print a run config's first demonstrations")
+    p.add_argument("--config", required=True)
     p.add_argument("--count", type=int, default=3, help="test examples to preview")
-    _add_spec_flags(p)
     p.set_defaults(func=cmd_demo_preview)
 
     p = sub.add_parser("eval", help="run a configured experiment")

@@ -70,6 +70,8 @@ class ModelConfig:
             raise ConfigError(f"unknown client kind: {self.kind!r}")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ConfigError(f"error_rate out of range: {self.error_rate}")
+        if not self.timeout > 0:
+            raise ConfigError(f"timeout must be > 0, got {self.timeout!r}")
         if self.max_in_flight < 1:
             raise ConfigError(f"max_in_flight must be >= 1, got {self.max_in_flight}")
         if self.kind == REMOTE and not self.endpoint:

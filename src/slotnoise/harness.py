@@ -17,8 +17,9 @@ import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .client import ModelConfig, ResponseCache, cached_complete
 from .corpus import Dataset, LabeledExample, LabelSet, chunked, dump_jsonl, jsonl_lines
@@ -92,6 +93,8 @@ class RunConfig:
             raise ConfigError(f"test split group {repeated!r} is listed more than once")
         if self.demo_k < 0:
             raise ConfigError(f"demo_k must be >= 0, got {self.demo_k}")
+        if not 0 <= self.max_error_fraction <= 1:
+            raise ConfigError(f"max_error_fraction {self.max_error_fraction} is outside [0, 1]")
         if self.demo_k > 0 and not self.pool_clean:
             raise ConfigError("demo_k > 0 requires pool_clean in the config")
         for key, allowed in _ENUMS.items():
@@ -118,7 +121,13 @@ class RunConfig:
             if key in kwargs:
                 kwargs[key] = _resolve(kwargs[key])
         splits = data["test_splits"]
-        pairs = splits.items() if isinstance(splits, Mapping) else splits
+        pairs = list(splits.items()) if isinstance(splits, Mapping) else splits
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in pairs
+        ):
+            raise ConfigError(
+                f"config key 'test_splits' must be an object or a list of pairs, got {splits!r}"
+            )
         kwargs["test_splits"] = tuple((str(g), _resolve(str(p))) for g, p in pairs)
         kwargs["pool_specs"] = tuple(spec_from_dict(s) for s in data.get("pool_specs", ()))
         model = scalars_from_dict(ModelConfig, data.get("model", {}), "model")
@@ -169,12 +178,16 @@ def run_experiment(cfg: RunConfig) -> EvalResult:
 
 
 def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
-    """Run variants of one config that differ only in demo_k, template_id and out paths.
+    """Run variants of one config that differ only in demo_k, template_id and out paths."""
+    prepared = _prepare(subs)
+    return [_execute(sub, *prepared) for sub in subs]
 
-    They share the template registry, label file, splits, pool and demonstration
-    candidates (a PoolIndex under retrieve), all loaded before the first write. Without a
-    label file a variant's labels are those observed in the splits and its pool; a variant
-    with demo_k 0 gets no pool.
+
+def _prepare(subs: Sequence[RunConfig]) -> tuple:
+    """What the variants share, loaded before any write.
+
+    The template registry, label file, splits, pool and demonstration candidates (a
+    PoolIndex under retrieve); there is no pool unless a variant has demo_k > 0.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
@@ -197,10 +210,30 @@ def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
         if cfg.demo_strategy == RETRIEVE_STRATEGY:
             provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
             candidates = PoolIndex(candidates, provider)
-    return [
-        _execute(sub, registry, labels, splits, pool if sub.demo_k else None, candidates)
-        for sub in subs
-    ]
+    return registry, labels, splits, pool, candidates
+
+
+def _run_labels(labels: LabelSet | None, pool: DataPool | None, splits: Sequence) -> LabelSet:
+    """The label file's set, else the labels observed in the pool and the splits."""
+    if labels is not None:
+        return labels
+    datasets = ([pool.mixed] if pool else []) + [ds for _, ds in splits]
+    return LabelSet.from_observed(ex for ds in datasets for ex in ds)
+
+
+def preview_demos(cfg: RunConfig, count: int) -> list[tuple[str, LabeledExample, DemonstrationSet]]:
+    """(run id, example, demonstrations) of the first count examples, as a run builds them."""
+    if cfg.demo_k == 0:
+        raise ConfigError("previewing demonstrations needs demo_k > 0 in the config")
+    _, labels, splits, pool, candidates = _prepare([cfg])
+    labels = _run_labels(labels, pool, splits)
+    examples = islice(_run_order(splits), count)
+    return [(rid, ex, _build_demos(cfg, ex, candidates, labels)) for rid, _, ex in examples]
+
+
+def _run_order(splits: Sequence[tuple[str, Dataset]]) -> Iterator[tuple[str, str, LabeledExample]]:
+    """(run id, group, example) of every example, split by split."""
+    return ((f"{group}/{ex.id}", group, ex) for group, ds in splits for ex in ds)
 
 
 def _execute(
@@ -215,9 +248,7 @@ def _execute(
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg.to_dict())
     template = registry[cfg.template_id]
-    if labels is None:  # those observed in the pool and the splits
-        datasets = ([pool.mixed] if pool else []) + [ds for _, ds in splits]
-        labels = LabelSet.from_observed(ex for ds in datasets for ex in ds)
+    labels = _run_labels(labels, pool if cfg.demo_k else None, splits)
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
     # Only these outlive a chunk; prompts, responses and log records do not.
     gold_examples: list[LabeledExample] = []
@@ -228,7 +259,7 @@ def _execute(
 
     def _prompt(rid: str, ex: LabeledExample) -> str:
         try:
-            demos = _build_demos(cfg, ex, candidates, labels) if pool else None
+            demos = _build_demos(cfg, ex, candidates, labels) if cfg.demo_k else None
             return render_prompt(template, labels, demos, ex)
         except ConfigError:
             raise
@@ -241,8 +272,7 @@ def _execute(
         logs = [stack.enter_context((out / name).open("w", encoding="utf-8")) for name in names]
         workers = cfg.model.max_in_flight
         mapper = stack.enter_context(ThreadPoolExecutor(workers)).map if workers > 1 else map
-        examples = ((f"{group}/{ex.id}", group, ex) for group, ds in splits for ex in ds)
-        for chunk in chunked(examples):
+        for chunk in chunked(_run_order(splits)):
             prompts = [_prompt(rid, ex) for rid, _, ex in chunk]
             exs = [ex for _, _, ex in chunk]
             outcomes = cached_complete(prompts, cfg.model, cache, exs, labels.names, mapper)
@@ -311,11 +341,7 @@ def _write_sweep_table(out: Path, results: Mapping[int, EvalResult]) -> None:
     header = ["k", *columns, "Overall"]
     lines = ["\t".join(header)]
     for k in sorted(results):
-        result = results[k]
-        row = [str(k)]
-        row.extend(f"{result.per_group[c].f1:.2f}" if c in result.per_group else "-" for c in columns)
-        row.append(f"{result.overall.micro_f1:.2f}")
-        lines.append("\t".join(row))
+        lines.append("\t".join([str(k), *map(_cell, _f1s(results[k], columns))]))
     (out / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -331,6 +357,21 @@ def compare_templates(cfg: RunConfig, template_ids: Sequence[str]) -> dict[str, 
     results = _run_variants(cfg, variants)
     render_report(results, out_dir=out)
     return results
+
+
+def _f1s(result: EvalResult, columns: Sequence[str]) -> list[float | None]:
+    """F1 per column (None where the run lacks that group), then the overall micro F1."""
+    per_group = [result.per_group[c].f1 if c in result.per_group else None for c in columns]
+    return per_group + [result.overall.micro_f1]
+
+
+def _cell(value: float | None, base_value: float | None = None) -> str:
+    if value is None:
+        return "-"
+    text = f"{value:.2f}"
+    if base_value is not None:
+        text += f"({value - base_value:+.1f})"
+    return text
 
 
 def _column_order(result: EvalResult) -> list[str]:
@@ -360,31 +401,9 @@ def render_report(
         raise ConfigError(f"unknown baseline run: {baseline!r}")
     base = results[baseline] if baseline is not None else None
 
-    def _cell(value: float | None, base_value: float | None) -> str:
-        if value is None:
-            return "-"
-        text = f"{value:.2f}"
-        if base is not None and base_value is not None:
-            text += f"({value - base_value:+.1f})"
-        return text
-
     header = ["Method", *columns, "Overall"]
-    rows: list[list[str]] = []
-    for name, result in results.items():
-        row = [name]
-        for column in columns:
-            value = result.per_group[column].f1 if column in result.per_group else None
-            base_value = (
-                base.per_group[column].f1 if base is not None and column in base.per_group else None
-            )
-            row.append(_cell(value, base_value))
-        row.append(
-            _cell(
-                result.overall.micro_f1,
-                base.overall.micro_f1 if base is not None else None,
-            )
-        )
-        rows.append(row)
+    base_f1s = _f1s(base, columns) if base is not None else [None] * (len(columns) + 1)
+    rows = [[name, *map(_cell, _f1s(r, columns), base_f1s)] for name, r in results.items()]
 
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
     text_lines = [

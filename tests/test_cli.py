@@ -7,13 +7,15 @@ from pathlib import Path
 
 import pytest
 
-from slotnoise.cli import main
-from slotnoise.corpus import load_dataset
+from slotnoise.cli import _build_spec, build_arg_parser, main
+from slotnoise.corpus import LabelSet, load_dataset
 from slotnoise.demos import PoolIndex
-from slotnoise.perturb import spec_from_dict
+from slotnoise.harness import RunConfig
+from slotnoise.perturb import derive_seed, spec_from_dict
 from slotnoise.pools import build_pool, save_pool
+from slotnoise.prompts import bundled_registry
 
-from conftest import DATA_DIR, SINGLE_SPLITS
+from conftest import DATA_DIR, ROOT, SINGLE_SPLITS
 from httpfake import Reply
 
 CLEAN = str(DATA_DIR / "clean.jsonl")
@@ -99,6 +101,22 @@ class TestAugment:
         assert "repeats kind char_typos" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_asset_flag_goes_only_to_the_kind_reading_it(self, tmp_path):
+        lexicon = tmp_path / "homophones.txt"
+        lexicon.write_text("play\tpleigh\n", encoding="utf-8")
+        argv = [
+            "augment", "--in", CLEAN, "--out", str(tmp_path / "mix.jsonl"),
+            "--kind", "composite", "--members", "typos,speech", "--homophones", str(lexicon),
+        ]
+        spec = _build_spec(build_arg_parser().parse_args(argv))
+        assert [member.assets for member in spec.members] == [
+            {}, {"homophone_lexicon": str(lexicon)}
+        ]
+        assert [member.seed for member in spec.members] == [
+            derive_seed(0, "member:char_typos"), derive_seed(0, "member:word_homophone")
+        ]
+        assert run_cli(*argv) == 0
+
     def test_refuses_to_overwrite_input(self, tmp_path):
         code = run_cli("augment", "--in", CLEAN, "--out", CLEAN, "--kind", "typos")
         assert code == 2
@@ -111,40 +129,43 @@ class TestAugment:
 
 class TestPool:
     def test_pool_writes_files_and_manifest(self, tmp_path):
+        specs = [{"kind": "char_typos", "p": 0.2, "seed": 1}, {"kind": "word_homophone", "p": 0.2}]
+        config = eval_config(tmp_path, pool_specs=specs)
         out = tmp_path / "pool"
-        code = run_cli("pool", "--in", CLEAN, "--out", str(out), "--members", "typos,speech", "--p", "0.2")
-        assert code == 0
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 0
         assert (out / "clean.jsonl").exists()
         assert (out / "augmented.jsonl").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["specs"]) == 2
         assert len(load_dataset(out / "augmented.jsonl")) == 60
 
-    def test_repeated_member_kind_exits_2_naming_it(self, tmp_path, capsys):
-        out = tmp_path / "pool"
-        assert run_cli("pool", "--in", CLEAN, "--out", str(out), "--members", "speech,homophone") == 2
-        assert "repeats kind word_homophone" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_asset_flag_goes_only_to_the_kind_reading_it(self, tmp_path):
+    def test_pool_is_the_run_configs_pool(self, tmp_path):
         lexicon = tmp_path / "homophones.txt"
         lexicon.write_text("play\tpleigh\n", encoding="utf-8")
-        out = tmp_path / "pool"
-        code = run_cli(
-            "pool", "--in", CLEAN, "--out", str(out), "--members", "typos,speech",
-            "--homophones", str(lexicon),
-        )
-        assert code == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert [spec.get("assets") for spec in manifest["specs"]] == [
-            None, {"homophone_lexicon": str(lexicon)}
+        specs = [
+            {"kind": "char_typos", "p": 0.3, "seed": 1},
+            {"kind": "word_homophone", "p": 1.0, "seed": 2, "assets": {"homophone_lexicon": str(lexicon)}},
+            {"kind": "char_typos", "p": 0.5, "seed": 3},
         ]
-        # The manifest loads and rebuilds the same pool.
-        specs = [spec_from_dict(d) for d in manifest["specs"]]
-        rebuilt = build_pool(load_dataset(CLEAN, split_name="clean"), specs)
-        save_pool(rebuilt, tmp_path / "rebuilt", specs)
+        config = eval_config(tmp_path, pool_specs=specs)
+        out = tmp_path / "pool"
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 0
+        cfg = RunConfig.from_json(config)
+        expected = build_pool(load_dataset(cfg.pool_clean, split_name="clean"), cfg.pool_specs)
+        save_pool(expected, tmp_path / "expected", cfg.pool_specs)
         for name in ("augmented.jsonl", "manifest.json"):
-            assert (tmp_path / "rebuilt" / name).read_bytes() == (out / name).read_bytes()
+            assert (tmp_path / "expected" / name).read_bytes() == (out / name).read_bytes()
+        augmented = (out / "augmented.jsonl").read_text(encoding="utf-8")
+        assert "__char_typos#2" in augmented and "pleigh" in augmented
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [spec_from_dict(d) for d in manifest["specs"]] == list(cfg.pool_specs)
+
+    def test_config_without_pool_clean_exits_2_before_any_write(self, tmp_path, capsys):
+        config = eval_config(tmp_path, pool_clean="", demo_k=0)
+        out = tmp_path / "pool"
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 2
+        assert "pool_clean" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -155,8 +176,6 @@ class TestPool:
             ["augment", "--out", "OUT", "--kind", "composite", "--members", "typos,delete", "--vocab", "/no/such/file"],
             "--vocab",
         ),
-        (["pool", "--out", "OUT", "--members", "typos,delete", "--sentences", "/no/such/file"], "--sentences"),
-        (["demo-preview", "--clean", CLEAN, "--paraphrase-provider", "http://127.0.0.1:9/p"], "--paraphrase-provider"),
     ],
 )
 def test_asset_flag_no_built_kind_reads_exits_2_naming_it(tmp_path, capsys, command, flag):
@@ -168,19 +187,61 @@ def test_asset_flag_no_built_kind_reads_exits_2_naming_it(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def split_prompt(prompt: str, body: str) -> tuple[str, str]:
+    """The demonstrations block and the input utterance of a prompt rendered from body."""
+    head, tail = body.split("{demonstrations}")
+    before_labels, after_labels = head.split("{labels}")
+    before_input, after_input = tail.split("{input}")
+    assert prompt.startswith(before_labels) and prompt.endswith(after_input)
+    rest = prompt[len(before_labels) : len(prompt) - len(after_input)]
+    demonstrations, utterance = rest.split(after_labels, 1)[1].rsplit(before_input, 1)
+    return demonstrations, utterance
+
+
 class TestDemoPreview:
-    def test_preview_prints_demos(self, capsys):
-        code = run_cli(
-            "demo-preview", "--in", CLEAN, "--clean", CLEAN,
-            "--mode", "entity", "--strategy", "random", "--count", "2",
-        )
-        assert code == 0
+    def test_preview_prints_demos(self, tmp_path, capsys):
+        config = eval_config(tmp_path, demo_mode="entity")
+        assert run_cli("demo-preview", "--config", str(config), "--count", "2") == 0
         out = capsys.readouterr().out
-        assert "# u001" in out
+        assert out.startswith("# Clean/u001: ") and "# Clean/u002: " in out
         assert '" is ' in out
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "name, strategy, label_file",
+        [
+            ("mock_single", "random", False),
+            ("mock_single", "retrieve", False),
+            ("mock_mixed", "random", False),
+            ("mock_mixed", "retrieve", False),
+            ("mock_mixed", "random", True),
+        ],
+    )
+    def test_preview_prints_the_demonstrations_eval_prompts_hold(
+        self, tmp_path, capsys, name, strategy, label_file
+    ):
+        cfg = RunConfig.from_json(ROOT / "configs" / f"{name}.json")
+        payload = {**cfg.to_dict(), "out_dir": str(tmp_path / "run"), "demo_strategy": strategy}
+        if label_file:  # entity demonstrations follow the label order; reverse it
+            observed = LabelSet.from_observed(ex for _, p in cfg.test_splits for ex in load_dataset(p))
+            labels = tmp_path / "labels.txt"
+            labels.write_text("\n".join(reversed(observed.names)), encoding="utf-8")
+            payload["labels_path"] = str(labels)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload), encoding="utf-8")
+        assert run_cli("eval", "--config", str(config)) == 0
+        lines = (tmp_path / "run" / "prompts.jsonl").read_text(encoding="utf-8").splitlines()
+        body = bundled_registry()[cfg.template_id].body
+        expected = ""
+        for record in map(json.loads, lines[:5]):
+            demonstrations, utterance = split_prompt(record["prompt"], body)
+            expected += f"# {record['id']}: {utterance}\n{demonstrations}\n\n"
+        capsys.readouterr()
+        assert run_cli("demo-preview", "--config", str(config), "--count", "5") == 0
+        assert capsys.readouterr().out == expected
 
     @pytest.mark.parametrize("mode", ["instance", "entity"])
-    def test_retrieve_preview_embeds_the_pool_once(self, monkeypatch, capsys, mode):
+    def test_retrieve_preview_embeds_the_pool_once(self, tmp_path, monkeypatch, capsys, mode):
         built = []
         init = PoolIndex.__init__
 
@@ -189,24 +250,29 @@ class TestDemoPreview:
             init(self, *args, **kwargs)
 
         monkeypatch.setattr(PoolIndex, "__init__", counting_init)
-        code = run_cli(
-            "demo-preview", "--in", CLEAN, "--clean", CLEAN,
-            "--mode", mode, "--strategy", "retrieve", "--count", "3",
-        )
-        assert code == 0
-        assert capsys.readouterr().out.count("# u") == 3
+        config = eval_config(tmp_path, demo_mode=mode, demo_strategy="retrieve")
+        assert run_cli("demo-preview", "--config", str(config), "--count", "3") == 0
+        assert capsys.readouterr().out.count("# Clean/u") == 3
         assert built == [len(load_dataset(CLEAN))]
 
     def test_preview_pool_uses_custom_lexicon(self, tmp_path, capsys):
         lexicon = tmp_path / "homophones.txt"
         lexicon.write_text("play\tpleigh\n", encoding="utf-8")
-        code = run_cli(
-            "demo-preview", "--in", CLEAN, "--clean", CLEAN, "--members", "speech",
-            "--homophones", str(lexicon), "--p", "1.0", "--pool-label", "augment",
-            "--k", "30", "--count", "1",
-        )
-        assert code == 0
+        spec = {"kind": "word_homophone", "p": 1.0, "assets": {"homophone_lexicon": str(lexicon)}}
+        config = eval_config(tmp_path, pool_specs=[spec], demo_pool="augment", demo_k=30)
+        assert run_cli("demo-preview", "--config", str(config), "--count", "1") == 0
         assert "pleigh" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_1_exits_2(self, tmp_path, capsys, count):
+        assert run_cli("demo-preview", "--config", str(eval_config(tmp_path)), "--count", count) == 2
+        captured = capsys.readouterr()
+        assert f"--count must be >= 1, got {count}" in captured.err and not captured.out
+
+    def test_config_without_demonstrations_exits_2(self, tmp_path, capsys):
+        assert run_cli("demo-preview", "--config", str(eval_config(tmp_path, demo_k=0))) == 2
+        captured = capsys.readouterr()
+        assert "demo_k > 0" in captured.err and not captured.out
 
 
 class TestEval:
@@ -318,6 +384,11 @@ class TestConfigSchema:
             ("demo_k", 5.7),
             ("seed", True),
             ("max_error_fraction", True),
+            ("max_error_fraction", -0.5),
+            ("max_error_fraction", 1.5),
+            ("max_error_fraction", float("nan")),
+            ("test_splits", ["abc"]),
+            ("test_splits", "clean.jsonl"),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, key, value):
@@ -326,6 +397,16 @@ class TestConfigSchema:
         assert run_cli("eval", "--config", str(config)) == 2
         err = capsys.readouterr().err
         assert key in err and repr(value) in err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    @pytest.mark.parametrize("timeout", [-1.0, 0.0, float("nan")])
+    def test_bad_model_timeout_exits_2_before_any_write(self, tmp_path, capsys, timeout):
+        cache = tmp_path / "cache"
+        model = {"kind": "echo_gold", "timeout": timeout}
+        config = eval_config(tmp_path, cache_dir=str(cache), model=model)
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert f"timeout must be > 0, got {timeout!r}" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 

@@ -7,12 +7,14 @@ import importlib
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 from slotnoise import perturb
+from slotnoise.cli import build_arg_parser
 
 from conftest import DATA_DIR, ROOT
 
@@ -69,6 +71,20 @@ def test_readme_names_every_perturbation_name():
     for kind, entry in perturb._TABLE.items():
         names.extend((kind, *entry.aliases))
     assert [name for name in names if f"`{name}`" not in readme] == []
+
+
+def test_readme_cli_examples_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("slotnoise ")]
+    assert len(commands) >= 8
+    parser, rejected = build_arg_parser(), []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            rejected.append(shlex.join(argv))
+    assert rejected == []
 
 
 def test_src_modules_use_every_name_they_import():
