@@ -1,8 +1,8 @@
 """Command-line surface binding all modules into user workflows.
 
 Exit codes: 0 success, 1 data error, 2 configuration error. No command
-mutates its input files. All randomness flows from the run config's seeds,
-or from augment's --seed (default 0).
+mutates its input files. All randomness flows from the seeds that a run
+config's specs or augment's --spec state.
 """
 
 from __future__ import annotations
@@ -16,55 +16,8 @@ from . import corpus, harness, perturb, pools, scorer
 from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
+from .schema import parse_json
 from .scorer import MatchCounts, aggregate, score_example
-
-
-# PerturbationSpec.assets key -> the argparse dest of the flag giving it
-_ASSET_FLAGS = {
-    "homophone_lexicon": "homophones",
-    "sentence_pool": "sentences",
-    "insert_vocab": "vocab",
-    "paraphrase_provider": "paraphrase_provider",
-}
-
-
-def _spec(args: argparse.Namespace, kind: str, seed: int) -> perturb.PerturbationSpec:
-    """A spec of kind holding only the asset flag its operator reads."""
-    key = perturb.asset_key(kind)
-    value = getattr(args, _ASSET_FLAGS[key]) if key else ""
-    assets = {key: value} if value else {}
-    return perturb.PerturbationSpec(kind=kind, p=args.p, seed=seed, assets=assets)
-
-
-def _check_asset_flags(args: argparse.Namespace, kinds: list[str]) -> None:
-    """Reject an asset flag that none of the kinds built reads."""
-    read = {perturb.asset_key(kind) for kind in kinds}
-    for key, dest in _ASSET_FLAGS.items():
-        if getattr(args, dest) and key not in read:
-            flag = "--" + dest.replace("_", "-")
-            built = ", ".join(kinds) or "no kind"
-            raise ConfigError(f"{flag} is read by none of the kinds built ({built})")
-
-
-def _build_spec(args: argparse.Namespace) -> perturb.PerturbationSpec:
-    """The --kind spec; each --members kind is seeded from --seed and 'member:<kind>'."""
-    kind = perturb.kind_from_name(args.kind)
-    if kind != perturb.COMPOSITE:
-        _check_asset_flags(args, [kind])
-        return _spec(args, kind, args.seed)
-    kinds: list[str] = []
-    for name in filter(str.strip, args.members.split(",")):
-        member = perturb.kind_from_name(name)
-        if member == perturb.COMPOSITE:
-            raise ConfigError("composite members must not be composites")
-        if member in kinds:
-            raise ConfigError(f"--members: {name.strip()!r} repeats kind {member}")
-        kinds.append(member)
-    _check_asset_flags(args, kinds)
-    if not kinds:
-        raise ConfigError("composite kind requires --members")
-    seeds = [perturb.derive_seed(args.seed, f"member:{k}") for k in kinds]
-    return perturb.compose([_spec(args, k, seed) for k, seed in zip(kinds, seeds)])
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -72,8 +25,8 @@ def cmd_augment(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     if in_path.resolve() == out_path.resolve():
         raise ConfigError("--out must differ from --in (inputs are never mutated)")
+    spec = perturb.spec_from_dict(parse_json(args.spec, "--spec"))
     ds = corpus.load_dataset(in_path)
-    spec = _build_spec(args)
     perturbed, report = perturb.perturb_dataset(ds, spec)
     name = perturb.display_name(spec)
     perturbed = corpus.Dataset(perturbed.examples, perturbed.labels, name)
@@ -87,6 +40,8 @@ def cmd_pool(args: argparse.Namespace) -> int:
     cfg = harness.RunConfig.from_json(args.config)
     if not cfg.pool_clean:
         raise ConfigError(f"{args.config} names no pool_clean to build the pool from")
+    if Path(args.out).resolve() == Path(cfg.pool_clean).resolve().parent:
+        raise ConfigError("--out must not be pool_clean's directory (inputs are never mutated)")
     clean = corpus.load_dataset(cfg.pool_clean, split_name="clean")
     pool = pools.build_pool(clean, cfg.pool_specs)
     pools.save_pool(pool, args.out, cfg.pool_specs)
@@ -229,14 +184,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("augment", help="write a perturbed copy of a dataset")
     p.add_argument("--in", dest="in_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", required=True)
-    p.add_argument("--p", type=float, default=0.1, help="perturbation probability")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--members", default="", help="comma-separated member kinds")
-    p.add_argument("--homophones", default="", help="homophone lexicon path")
-    p.add_argument("--sentences", default="", help="irrelevant-sentence pool path")
-    p.add_argument("--vocab", default="", help="insertion vocabulary path")
-    p.add_argument("--paraphrase-provider", default="", dest="paraphrase_provider")
+    p.add_argument("--spec", required=True, help="one pool_specs entry, as JSON text")
     p.set_defaults(func=cmd_augment)
 
     p = sub.add_parser("pool", help="build and persist a run config's demonstration pool")

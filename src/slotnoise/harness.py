@@ -42,7 +42,7 @@ from .parser import parse_predictions
 from .perturb import PerturbationSpec, derive_seed, spec_from_dict, spec_to_dict
 from .pools import POOL_LABELS, DataPool, build_pool
 from .prompts import PromptTemplate, bundled_registry, load_registry, render_prompt
-from .schema import fields_to_dict, scalars_from_dict
+from .schema import fields_to_dict, parse_json, resolve_path, scalars_from_dict
 from .scorer import MODES as SCORING_MODES, EvalResult, MatchCounts, aggregate, score_example
 
 log = logging.getLogger(__name__)
@@ -110,16 +110,10 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping, base_dir: Path | None = None) -> "RunConfig":
-        def _resolve(value: str) -> str:
-            if not value or base_dir is None:
-                return value
-            path = Path(value)
-            return str(path if path.is_absolute() else base_dir / path)
-
         kwargs = scalars_from_dict(cls, data, "config")
         for key in _PATH_FIELDS:
             if key in kwargs:
-                kwargs[key] = _resolve(kwargs[key])
+                kwargs[key] = resolve_path(kwargs[key], base_dir)
         splits = data["test_splits"]
         pairs = list(splits.items()) if isinstance(splits, Mapping) else splits
         if not isinstance(pairs, (list, tuple)) or not all(
@@ -128,8 +122,9 @@ class RunConfig:
             raise ConfigError(
                 f"config key 'test_splits' must be an object or a list of pairs, got {splits!r}"
             )
-        kwargs["test_splits"] = tuple((str(g), _resolve(str(p))) for g, p in pairs)
-        kwargs["pool_specs"] = tuple(spec_from_dict(s) for s in data.get("pool_specs", ()))
+        kwargs["test_splits"] = tuple((str(g), resolve_path(str(p), base_dir)) for g, p in pairs)
+        specs = data.get("pool_specs", ())
+        kwargs["pool_specs"] = tuple(spec_from_dict(s, base_dir) for s in specs)
         model = scalars_from_dict(ModelConfig, data.get("model", {}), "model")
         kwargs["model"] = ModelConfig(**model)
         return cls(**kwargs)
@@ -137,15 +132,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-
-        def _unique(pairs: list[tuple[str, object]]) -> dict:
-            keys = [key for key, _ in pairs]
-            repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
-            if repeated is not None:
-                raise ConfigError(f"key {repeated!r} is repeated in {path}")
-            return dict(pairs)
-
-        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique)
+        data = parse_json(path.read_text(encoding="utf-8"), str(path))
         return cls.from_dict(data, base_dir=path.parent)
 
 

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .client import _post_json
 from .corpus import Dataset, LabeledExample, SlotSpan, is_token, leftmost_match
 from .errors import ClientError, ConfigError
-from .schema import check_keys, scalars_from_dict
+from .schema import check_keys, hint, resolve_path, scalars_from_dict
 
 CHAR_TYPOS = "char_typos"
 WORD_HOMOPHONE = "word_homophone"
@@ -72,7 +72,8 @@ class PerturbationSpec:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ConfigError(f"unknown perturbation kind: {self.kind!r}")
+            hint_text = hint(str(self.kind), KINDS)
+            raise ConfigError(f"unknown perturbation kind: {self.kind!r} ({hint_text})")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"probability out of range: {self.p}")
         object.__setattr__(self, "assets", dict(self.assets))
@@ -439,46 +440,26 @@ class _Kind:
     level: int  # application order inside composites: sentence 0 -> word 1 -> char 2
     display: str  # report column
     abbrev: str  # member name in a non-standard composite's column
-    aliases: tuple[str, ...] = ()  # CLI names besides the kind itself
     asset: str | None = None  # the one PerturbationSpec.assets key the operator reads
     load: Callable[[object, Sequence[LabeledExample]], object] | None = None
 
 
 _TABLE = {
-    CHAR_TYPOS: _Kind(perturb_char_typos, 2, "Typos", "Typ", ("typos",)),
+    CHAR_TYPOS: _Kind(perturb_char_typos, 2, "Typos", "Typ"),
     WORD_HOMOPHONE: _Kind(
-        perturb_word_homophone, 1, "Speech", "Spe", ("speech", "homophone"),
-        "homophone_lexicon", _load_lexicon,
+        perturb_word_homophone, 1, "Speech", "Spe", "homophone_lexicon", _load_lexicon
     ),
-    WORD_DELETE: _Kind(perturb_word_delete, 1, "WordDelete", "Del", ("delete",)),
-    WORD_INSERT: _Kind(
-        perturb_word_insert, 1, "WordInsert", "Ins", ("insert",), "insert_vocab", _load_vocab
-    ),
+    WORD_DELETE: _Kind(perturb_word_delete, 1, "WordDelete", "Del"),
+    WORD_INSERT: _Kind(perturb_word_insert, 1, "WordInsert", "Ins", "insert_vocab", _load_vocab),
     APPEND_IRR: _Kind(
-        perturb_append_irr, 0, "AppendIrr", "App", ("appendirr",), "sentence_pool", _load_sentences
+        perturb_append_irr, 0, "AppendIrr", "App", "sentence_pool", _load_sentences
     ),
     PARAPHRASE: _Kind(
-        perturb_paraphrase, 0, "Paraphrase", "Par", (), "paraphrase_provider", _load_paraphraser
+        perturb_paraphrase, 0, "Paraphrase", "Par", "paraphrase_provider", _load_paraphraser
     ),
 }
 KINDS = (*_TABLE, COMPOSITE)
 ASSET_KEYS = tuple(entry.asset for entry in _TABLE.values() if entry.asset)
-
-
-def kind_from_name(name: str) -> str:
-    """The kind a user-facing name denotes: a kind or an alias, in any case."""
-    key = name.strip().lower()
-    if key in KINDS:
-        return key
-    for kind, entry in _TABLE.items():
-        if key in entry.aliases:
-            return kind
-    raise ConfigError(f"unknown perturbation kind: {name!r}")
-
-
-def asset_key(kind: str) -> str | None:
-    """The one assets key a non-composite kind's operator reads, if any."""
-    return _TABLE[kind].asset
 
 
 def resolve_assets(
@@ -597,7 +578,12 @@ def spec_to_dict(spec: PerturbationSpec) -> dict:
     return out
 
 
-def spec_from_dict(data: Mapping) -> PerturbationSpec:
+def spec_from_dict(data: Mapping, base_dir: Path | None = None) -> PerturbationSpec:
+    """The spec a config's pool_specs entry states.
+
+    A string asset naming a file (all but paraphrase_provider) is taken
+    relative to base_dir, the config file's directory.
+    """
     if isinstance(data, Mapping) and data.get("kind") == COMPOSITE:
         where, omit = "composite pool spec", ("p", "seed", "assets")
     else:
@@ -605,5 +591,14 @@ def spec_from_dict(data: Mapping) -> PerturbationSpec:
     kwargs = scalars_from_dict(PerturbationSpec, data, where, omit)
     assets = data.get("assets", {})
     check_keys(assets, ASSET_KEYS, "asset")
-    members = tuple(spec_from_dict(m) for m in data.get("members", []))
-    return PerturbationSpec(**kwargs, assets=dict(assets), members=members)
+    assets = {
+        key: resolve_path(value, base_dir)
+        if isinstance(value, str) and key != "paraphrase_provider"
+        else value
+        for key, value in assets.items()
+    }
+    members = data.get("members", [])
+    if not isinstance(members, (list, tuple)):
+        raise ConfigError(f"{where} key 'members' must be a list, got {members!r}")
+    members = tuple(spec_from_dict(m, base_dir) for m in members)
+    return PerturbationSpec(**kwargs, assets=assets, members=members)

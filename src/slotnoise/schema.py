@@ -10,7 +10,9 @@ naming the key.
 from __future__ import annotations
 
 import difflib
+import json
 from dataclasses import MISSING, fields
+from pathlib import Path
 from typing import Collection, Mapping
 
 from .errors import ConfigError
@@ -30,14 +32,41 @@ def _coerce(kind: type, value: object) -> object:
     return kind(value)
 
 
+def parse_json(text: str, where: str) -> object:
+    """The JSON value of text; invalid JSON or an object repeating a key is a ConfigError."""
+
+    def _unique(pairs: list[tuple[str, object]]) -> dict:
+        keys = [key for key, _ in pairs]
+        repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"key {repeated!r} is repeated in {where}")
+        return dict(pairs)
+
+    try:
+        return json.loads(text, object_pairs_hook=_unique)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+
+
+def resolve_path(value: str, base_dir: Path | None) -> str:
+    """value, when relative, taken from base_dir; empty, or without base_dir, unchanged."""
+    if not value or base_dir is None:
+        return value
+    return str(base_dir / value)
+
+
+def hint(word: str, valid: Collection[str]) -> str:
+    """The valid word closest to word, or all of them when none is close."""
+    close = difflib.get_close_matches(word, sorted(valid), n=1)
+    return f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(valid)}"
+
+
 def check_keys(data: object, valid: Collection[str], where: str) -> None:
     """Reject a non-mapping or any key outside valid, naming the closest valid key."""
     if not isinstance(data, Mapping):
         raise ConfigError(f"{where} must be a JSON object, got {data!r}")
     for key in sorted(set(data) - set(valid), key=str):
-        close = difflib.get_close_matches(str(key), sorted(valid), n=1)
-        hint = f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(valid)}"
-        raise ConfigError(f"unknown {where} key {key!r} ({hint})")
+        raise ConfigError(f"unknown {where} key {key!r} ({hint(str(key), valid)})")
 
 
 def fields_to_dict(obj: object) -> dict:

@@ -262,11 +262,13 @@ def _hash_tree(root: Path) -> dict[str, str]:
 def test_cli_determinism(tmp_path):
     clean = str(DATA_DIR / "clean.jsonl")
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    members = [
+        {"kind": "word_homophone", "p": 0.4, "seed": 9},
+        {"kind": "char_typos", "p": 0.4, "seed": 10},
+    ]
+    spec = json.dumps({"kind": "composite", "members": members})
     for out in (a, b):
-        code = cli_main(
-            ["augment", "--in", clean, "--out", str(out),
-             "--kind", "composite", "--members", "speech,typos", "--p", "0.4", "--seed", "9"]
-        )
+        code = cli_main(["augment", "--in", clean, "--out", str(out), "--spec", spec])
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
 

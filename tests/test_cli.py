@@ -7,11 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from slotnoise.cli import _build_spec, build_arg_parser, main
+from slotnoise.cli import main
 from slotnoise.corpus import LabelSet, load_dataset
 from slotnoise.demos import PoolIndex
 from slotnoise.harness import RunConfig
-from slotnoise.perturb import derive_seed, spec_from_dict
+from slotnoise.perturb import spec_from_dict
 from slotnoise.pools import build_pool, save_pool
 from slotnoise.prompts import bundled_registry
 
@@ -19,6 +19,8 @@ from conftest import DATA_DIR, ROOT, SINGLE_SPLITS
 from httpfake import Reply
 
 CLEAN = str(DATA_DIR / "clean.jsonl")
+# The spec of each machine-generated bundled split, by file stem.
+GENERATED = json.loads((DATA_DIR / "manifest.json").read_text(encoding="utf-8"))["generated"]
 
 
 def run_cli(*argv: str) -> int:
@@ -52,10 +54,18 @@ def file_hashes(root: Path) -> dict[str, str]:
     }
 
 
+def augment(out: Path, spec: dict) -> int:
+    return run_cli("augment", "--in", CLEAN, "--out", str(out), "--spec", json.dumps(spec))
+
+
+SPEECH = {"kind": "word_homophone", "p": 0.5, "seed": 22}
+TYPOS = {"kind": "char_typos", "p": 0.3, "seed": 11}
+
+
 class TestAugment:
     def test_p_zero_preserves_content(self, tmp_path, capsys):
         out = tmp_path / "out.jsonl"
-        code = run_cli("augment", "--in", CLEAN, "--out", str(out), "--kind", "char_typos", "--p", "0")
+        code = augment(out, {"kind": "char_typos", "p": 0})
         assert code == 0
         original = load_dataset(CLEAN)
         written = load_dataset(out)
@@ -67,64 +77,78 @@ class TestAugment:
 
     def test_composite_members_column_naming(self, tmp_path, capsys):
         out = tmp_path / "mix.jsonl"
-        code = run_cli(
-            "augment", "--in", CLEAN, "--out", str(out),
-            "--kind", "composite", "--members", "speech,typos", "--p", "0.3",
-        )
+        code = augment(out, {"kind": "composite", "members": [SPEECH, TYPOS]})
         assert code == 0
         assert "Spe+Typ" in capsys.readouterr().err
 
     def test_same_flags_twice_byte_identical(self, tmp_path):
         a = tmp_path / "a.jsonl"
         b = tmp_path / "b.jsonl"
+        append = {"kind": "append_irr", "p": 0.4, "seed": 5}
         for out in (a, b):
-            assert run_cli(
-                "augment", "--in", CLEAN, "--out", str(out),
-                "--kind", "composite", "--members", "speech,typos,append_irr",
-                "--p", "0.4", "--seed", "11",
-            ) == 0
+            assert augment(out, {"kind": "composite", "members": [SPEECH, TYPOS, append]}) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_unknown_kind_exits_2(self, tmp_path, capsys):
-        code = run_cli("augment", "--in", CLEAN, "--out", str(tmp_path / "x.jsonl"), "--kind", "mystery")
+        code = augment(tmp_path / "x.jsonl", {"kind": "mystery"})
         assert code == 2
         assert "mystery" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("members", ["typos,typos", "typos,char_typos"])
-    def test_repeated_member_kind_exits_2_naming_it(self, tmp_path, capsys, members):
-        out = tmp_path / "mix.jsonl"
-        code = run_cli(
-            "augment", "--in", CLEAN, "--out", str(out),
-            "--kind", "composite", "--members", members,
-        )
-        assert code == 2
-        assert "repeats kind char_typos" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_asset_flag_goes_only_to_the_kind_reading_it(self, tmp_path):
         lexicon = tmp_path / "homophones.txt"
         lexicon.write_text("play\tpleigh\n", encoding="utf-8")
-        argv = [
-            "augment", "--in", CLEAN, "--out", str(tmp_path / "mix.jsonl"),
-            "--kind", "composite", "--members", "typos,speech", "--homophones", str(lexicon),
-        ]
-        spec = _build_spec(build_arg_parser().parse_args(argv))
+        speech = {**SPEECH, "assets": {"homophone_lexicon": str(lexicon)}}
+        composite = {"kind": "composite", "members": [TYPOS, speech]}
+        spec = spec_from_dict(composite)
         assert [member.assets for member in spec.members] == [
             {}, {"homophone_lexicon": str(lexicon)}
         ]
-        assert [member.seed for member in spec.members] == [
-            derive_seed(0, "member:char_typos"), derive_seed(0, "member:word_homophone")
-        ]
-        assert run_cli(*argv) == 0
+        assert [member.seed for member in spec.members] == [11, 22]
+        out = tmp_path / "mix.jsonl"
+        assert augment(out, composite) == 0
+        assert "pleigh" in out.read_text(encoding="utf-8")
 
     def test_refuses_to_overwrite_input(self, tmp_path):
-        code = run_cli("augment", "--in", CLEAN, "--out", CLEAN, "--kind", "typos")
+        code = run_cli("augment", "--in", CLEAN, "--out", CLEAN, "--spec", json.dumps(TYPOS))
         assert code == 2
 
     def test_input_file_never_mutated(self, tmp_path):
         before = Path(CLEAN).read_bytes()
-        run_cli("augment", "--in", CLEAN, "--out", str(tmp_path / "o.jsonl"), "--kind", "typos")
+        augment(tmp_path / "o.jsonl", TYPOS)
         assert Path(CLEAN).read_bytes() == before
+
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_manifest_spec_replays_the_bundled_split(self, tmp_path, name):
+        out = tmp_path / f"{name}.jsonl"
+        assert augment(out, GENERATED[name]) == 0
+        assert out.read_bytes() == (DATA_DIR / f"{name}.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ("{kind", "--spec is not valid JSON"),
+            ('{"kind": "char_typos", "p": 0.1, "p": 0.2}', "key 'p' is repeated in --spec"),
+            (
+                '{"kind": "composite", "members": '
+                '[{"kind": "composite", "members": [{"kind": "char_typos"}]}]}',
+                "must not be composites",
+            ),
+            ('{"kind": "composite", "members": "char_typos"}', "'members' must be a list"),
+        ],
+        ids=["json", "repeated", "nested", "members"],
+    )
+    def test_bad_spec_exits_2_before_any_write(self, tmp_path, capsys, text, named):
+        out = tmp_path / "x.jsonl"
+        assert run_cli("augment", "--in", CLEAN, "--out", str(out), "--spec", text) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_asset_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch):
+        (tmp_path / "lex.txt").write_text("play\tpleigh\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        spec = {"kind": "word_homophone", "p": 1.0, "assets": {"homophone_lexicon": "lex.txt"}}
+        assert augment(tmp_path / "o.jsonl", spec) == 0
+        assert "pleigh" in (tmp_path / "o.jsonl").read_text(encoding="utf-8")
 
 
 class TestPool:
@@ -160,6 +184,23 @@ class TestPool:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [spec_from_dict(d) for d in manifest["specs"]] == list(cfg.pool_specs)
 
+    def test_out_at_pool_clean_directory_exits_2_before_any_write(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        clean = data / "clean.jsonl"
+        # compact separators, which save_pool would rewrite in its canonical form
+        records = map(json.loads, Path(CLEAN).read_text(encoding="utf-8").splitlines())
+        clean.write_text(
+            "".join(json.dumps(r, separators=(",", ":")) + "\n" for r in records), encoding="utf-8"
+        )
+        before = clean.read_bytes()
+        config = eval_config(tmp_path, pool_clean=str(clean), pool_specs=[TYPOS])
+        out = tmp_path / "data" / ".." / "data"
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 2
+        assert "pool_clean" in capsys.readouterr().err
+        assert clean.read_bytes() == before
+        assert sorted(p.name for p in data.iterdir()) == ["clean.jsonl"]
+
     def test_config_without_pool_clean_exits_2_before_any_write(self, tmp_path, capsys):
         config = eval_config(tmp_path, pool_clean="", demo_k=0)
         out = tmp_path / "pool"
@@ -168,22 +209,48 @@ class TestPool:
         assert not out.exists()
 
 
+def test_config_assets_resolve_against_the_config_file(tmp_path, monkeypatch):
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "lex.txt").write_text("play\tpleigh\n", encoding="utf-8")
+    (cfg_dir / "sentences.txt").write_text("by the way it is sunny\n", encoding="utf-8")
+    speech = {**SPEECH, "p": 1.0, "assets": {"homophone_lexicon": "lex.txt"}}
+    append = {"kind": "append_irr", "p": 1.0, "assets": {"sentence_pool": "sentences.txt"}}
+    specs = [speech, {"kind": "composite", "members": [TYPOS, append]}]
+    config = eval_config(cfg_dir, pool_specs=specs, demo_pool="augment", out_dir="run")
+    trees = []
+    for cwd in (cfg_dir, tmp_path):
+        monkeypatch.chdir(cwd)
+        shutil.rmtree(cfg_dir / "run", ignore_errors=True)
+        assert run_cli("eval", "--config", str(config)) == 0
+        assert run_cli("demo-preview", "--config", str(config), "--count", "1") == 0
+        trees.append(file_hashes(cfg_dir / "run"))
+    assert trees[0] == trees[1]
+    prompts = (cfg_dir / "run" / "prompts.jsonl").read_text(encoding="utf-8")
+    assert "pleigh" in prompts and "sunny" in prompts
+
+
 @pytest.mark.parametrize(
-    "command, flag",
+    "spec, key",
     [
-        (["augment", "--out", "OUT", "--kind", "typos", "--homophones", "/no/such/file"], "--homophones"),
+        ({**TYPOS, "assets": {"homophone_lexicon": "/no/such/file"}}, "homophone_lexicon"),
         (
-            ["augment", "--out", "OUT", "--kind", "composite", "--members", "typos,delete", "--vocab", "/no/such/file"],
-            "--vocab",
+            {
+                "kind": "composite",
+                "members": [
+                    {"kind": "char_typos"},
+                    {"kind": "word_delete", "assets": {"insert_vocab": "/no/such/file"}},
+                ],
+            },
+            "insert_vocab",
         ),
     ],
 )
-def test_asset_flag_no_built_kind_reads_exits_2_naming_it(tmp_path, capsys, command, flag):
+def test_asset_flag_no_built_kind_reads_exits_2_naming_it(tmp_path, capsys, spec, key):
     out = tmp_path / "out"
-    argv = [str(out) if arg == "OUT" else arg for arg in command]
-    assert run_cli(argv[0], "--in", CLEAN, *argv[1:]) == 2
+    assert augment(out, spec) == 2
     captured = capsys.readouterr()
-    assert flag in captured.err and not captured.out
+    assert repr(key) in captured.err and not captured.out
     assert not out.exists()
 
 
@@ -446,6 +513,14 @@ class TestConfigSchema:
         assert run_cli("eval", "--config", str(config)) == 2
         err = capsys.readouterr().err
         assert "'homophone_lexicon'" in err and "char_typos" in err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    def test_unknown_pool_spec_kind_names_the_closest_kind_before_any_write(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[{"kind": "typos"}])
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "unknown perturbation kind: 'typos' (did you mean 'char_typos'?)" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 

@@ -718,6 +718,31 @@ class TestRunConfig:
         assert Path(cfg.test_splits[0][1]).resolve() == (tmp_path / "data" / "clean.jsonl").resolve()
         assert Path(cfg.out_dir).resolve() == (tmp_path / "runs" / "rel").resolve()
 
+    def test_asset_paths_resolve_against_the_config_file(self, tmp_path):
+        lexicon = {"kind": "word_homophone", "assets": {"homophone_lexicon": "lex.txt"}}
+        members = [
+            {"kind": "word_insert", "assets": {"insert_vocab": ["a", "b"]}},
+            {"kind": "append_irr", "assets": {"sentence_pool": "/abs/sentences.txt"}},
+            {"kind": "paraphrase", "assets": {"paraphrase_provider": "identity"}},
+            {"kind": "word_homophone", "assets": {"homophone_lexicon": {"two": ["too"]}}},
+            {"kind": "char_typos"},
+        ]
+        payload = {
+            "test_splits": {"Clean": "clean.jsonl"},
+            "out_dir": "run",
+            "pool_specs": [lexicon, {"kind": "composite", "members": members}],
+        }
+        cfg = RunConfig.from_dict(payload, base_dir=tmp_path / "cfg")
+        single, composite = cfg.pool_specs
+        assert single.assets == {"homophone_lexicon": str(tmp_path / "cfg" / "lex.txt")}
+        assert [m.assets for m in composite.members] == [
+            {"insert_vocab": ["a", "b"]},
+            {"sentence_pool": "/abs/sentences.txt"},
+            {"paraphrase_provider": "identity"},
+            {"homophone_lexicon": {"two": ["too"]}},
+            {},
+        ]
+
     def test_config_hash_stable_and_sensitive(self, tmp_path):
         a = base_config(tmp_path)
         b = base_config(tmp_path)

@@ -1,28 +1,24 @@
-"""Pins the perturbation vocabulary: accepted names, display names, kind tokens."""
+"""Pins the perturbation vocabulary: kind names, display names, kind tokens."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from slotnoise.cli import main
-from slotnoise.perturb import PerturbationSpec, compose, display_name, kind_token
+from slotnoise.perturb import KINDS, PerturbationSpec, compose, display_name, kind_token
 
 from conftest import DATA_DIR
 
 CLEAN = str(DATA_DIR / "clean.jsonl")
 
-# Every accepted CLI name, the kind it resolves to and the name augment prints.
+# Every kind a spec names, the kind it is and the name augment prints.
 CLI_NAMES = (
-    ("typos", "char_typos", "Typos"),
     ("char_typos", "char_typos", "Typos"),
-    ("speech", "word_homophone", "Speech"),
     ("word_homophone", "word_homophone", "Speech"),
-    ("homophone", "word_homophone", "Speech"),
-    ("delete", "word_delete", "WordDelete"),
     ("word_delete", "word_delete", "WordDelete"),
-    ("insert", "word_insert", "WordInsert"),
     ("word_insert", "word_insert", "WordInsert"),
-    ("appendirr", "append_irr", "AppendIrr"),
     ("append_irr", "append_irr", "AppendIrr"),
     ("paraphrase", "paraphrase", "Paraphrase"),
 )
@@ -40,10 +36,14 @@ def spec(kind: str) -> PerturbationSpec:
     return PerturbationSpec(kind=kind, p=0.2, seed=1)
 
 
+def augment(out, spec: dict) -> int:
+    return main(["augment", "--in", CLEAN, "--out", str(out), "--spec", json.dumps(spec)])
+
+
 @pytest.mark.parametrize("name,kind,display", CLI_NAMES)
 def test_augment_kind_name(tmp_path, capsys, name, kind, display):
     out = tmp_path / "out.jsonl"
-    assert main(["augment", "--in", CLEAN, "--out", str(out), "--kind", name]) == 0
+    assert augment(out, {"kind": name}) == 0
     assert capsys.readouterr().err.startswith(f"{display}: ")
     assert display_name(spec(kind)) == display
 
@@ -51,21 +51,36 @@ def test_augment_kind_name(tmp_path, capsys, name, kind, display):
 @pytest.mark.parametrize("name,kind,display", CLI_NAMES)
 def test_composite_member_name(tmp_path, capsys, name, kind, display):
     out = tmp_path / "out.jsonl"
-    argv = ["augment", "--in", CLEAN, "--out", str(out), "--kind", "composite", "--members", name]
-    assert main(argv) == 0
+    assert augment(out, {"kind": "composite", "members": [{"kind": name}]}) == 0
     assert capsys.readouterr().err.startswith(f"{ABBREVIATIONS[kind]}: ")
-
-
-def test_names_are_case_and_space_insensitive(tmp_path, capsys):
-    out = tmp_path / "out.jsonl"
-    assert main(["augment", "--in", CLEAN, "--out", str(out), "--kind", " Typos "]) == 0
-    assert capsys.readouterr().err.startswith("Typos: ")
 
 
 def test_unknown_name_keeps_the_raw_text(tmp_path, capsys):
     out = tmp_path / "out.jsonl"
-    assert main(["augment", "--in", CLEAN, "--out", str(out), "--kind", "Typo "]) == 2
-    assert "'Typo '" in capsys.readouterr().err
+    assert augment(out, {"kind": "Typo "}) == 2
+    err = capsys.readouterr().err
+    assert "'Typo '" in err
+    # no kind is close to 'Typo ' (names are case-sensitive), so all are listed
+    assert f"(expected one of {sorted(KINDS)})" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name,kind",
+    [
+        ("typos", "char_typos"),
+        ("Char_Typos", "char_typos"),
+        ("homophone", "word_homophone"),
+        ("delete", "word_delete"),
+        ("insert", "word_insert"),
+        ("appendirr", "append_irr"),
+    ],
+)
+def test_unknown_name_suggests_the_closest_kind(tmp_path, capsys, name, kind):
+    out = tmp_path / "out.jsonl"
+    assert augment(out, {"kind": name}) == 2
+    err = capsys.readouterr().err
+    assert f"unknown perturbation kind: {name!r} (did you mean {kind!r}?)" in err
     assert not out.exists()
 
 

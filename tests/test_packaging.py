@@ -8,13 +8,14 @@ import importlib.util
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from slotnoise import perturb
-from slotnoise.cli import build_arg_parser
+from slotnoise.cli import build_arg_parser, main
 
 from conftest import DATA_DIR, ROOT
 
@@ -67,16 +68,18 @@ def test_make_splits_reproduces_the_bundled_data(tmp_path):
 
 def test_readme_names_every_perturbation_name():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    names = [perturb.COMPOSITE]
-    for kind, entry in perturb._TABLE.items():
-        names.extend((kind, *entry.aliases))
-    assert [name for name in names if f"`{name}`" not in readme] == []
+    assert [kind for kind in perturb.KINDS if f"`{kind}`" not in readme] == []
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """The argv of each `slotnoise` line in the README's CLI block."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("slotnoise ")]
 
 
 def test_readme_cli_examples_parse():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    block = readme.split("## CLI\n", 1)[1].split("```", 2)[1]
-    commands = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("slotnoise ")]
+    commands = readme_cli_commands()
     assert len(commands) >= 8
     parser, rejected = build_arg_parser(), []
     for argv in commands:
@@ -85,6 +88,17 @@ def test_readme_cli_examples_parse():
         except SystemExit:
             rejected.append(shlex.join(argv))
     assert rejected == []
+
+
+def test_readme_augment_examples_run(tmp_path, monkeypatch):
+    commands = [argv for argv in readme_cli_commands() if argv[0] == "augment"]
+    assert len(commands) == 2
+    (tmp_path / "data").mkdir()
+    shutil.copy(DATA_DIR / "clean.jsonl", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    assert [main(argv) for argv in commands] == [0, 0]
+    # the README says the composite line writes the bundled Spe+Typ split
+    assert (tmp_path / "mix.jsonl").read_bytes() == (DATA_DIR / "spe_typ.jsonl").read_bytes()
 
 
 def test_src_modules_use_every_name_they_import():
