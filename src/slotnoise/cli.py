@@ -1,8 +1,9 @@
 """Command-line surface binding all modules into user workflows.
 
-Exit codes: 0 success, 1 data error, 2 configuration error. No command
-mutates its input files. All randomness flows from the seeds that a run
-config's specs or augment's --spec state.
+Exit codes: 0 success, 1 data error, 2 configuration error; an input path
+that is missing or a directory exits 2, an unreadable input file exits 1. No
+command mutates its input files. All randomness flows from the seeds that a
+run config's specs or augment's --spec state.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from . import corpus, harness, perturb, pools, scorer
 from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
-from .schema import parse_json
-from .scorer import MatchCounts, aggregate, score_example
+from .schema import check_unique, parse_json, read_input
+from .scorer import aggregate, score_example
 
 
 def cmd_augment(args: argparse.Namespace) -> int:
@@ -69,9 +70,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     result = harness.run_experiment(cfg)
     errors_log = Path(cfg.out_dir) / "errors.jsonl"
     if errors_log.exists():
-        lines = errors_log.read_text(encoding="utf-8").splitlines()
-        # an example may fail in two stages, so count ids, not lines
-        n_failed = len({json.loads(line)["id"] for line in lines if line})
+        lines = errors_log.read_text(encoding="utf-8").split("\n")
+        n_failed = harness.count_failed(json.loads(line) for line in lines if line)
         print(f"partial failures: {n_failed} examples errored; see {errors_log}", file=sys.stderr)
     print(harness.render_report({cfg.name: result}), end="")
     return 0
@@ -83,9 +83,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         ks = [int(k) for k in args.ks.split(",") if k.strip()]
     except ValueError as exc:
         raise ConfigError(f"--ks: {exc}") from None
-    for i, k in enumerate(ks):
-        if k in ks[:i]:
-            raise ConfigError(f"--ks: repeated k {k}")
+    check_unique(ks, lambda k: f"--ks: repeated k {k}")
     harness.sweep_demo_count(cfg, ks)
     print((Path(cfg.out_dir) / "sweep.tsv").read_text(encoding="utf-8"), end="")
     return 0
@@ -100,6 +98,7 @@ def cmd_templates(args: argparse.Namespace) -> int:
         raise ConfigError("templates requires --config and --ids (or --list)")
     cfg = harness.RunConfig.from_json(args.config)
     ids = [t.strip() for t in args.ids.split(",") if t.strip()]
+    check_unique(ids, lambda tid: f"--ids: repeated id {tid!r}")
     baseline = args.baseline.strip() if args.baseline is not None else None
     if baseline is not None and baseline not in ids:
         raise ConfigError(f"--baseline {baseline!r} is not one of --ids")
@@ -108,46 +107,33 @@ def cmd_templates(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_groups(path: Path) -> dict[str, str]:
-    groups: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(f"{path}:{lineno}: expected 'id<TAB>group'")
-        groups[parts[0]] = parts[1]
-    return groups
-
-
-def _read_predictions(path: Path) -> dict[str, Prediction]:
+def _read_predictions(path: Path) -> tuple[dict[str, Prediction], dict[str, str]]:
+    """The prediction and the group of each run id in a predictions.jsonl."""
     predictions: dict[str, Prediction] = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    groups: dict[str, str] = {}
+    # split as corpus splits JSONL, at "\n" alone
+    for lineno, line in enumerate(read_input(path, "predictions file").split("\n"), 1):
         if not line.strip():
             continue
         try:
             record = json.loads(line)
+            rid = str(record["id"])
+            groups[rid] = str(record["group"])
             pairs = tuple((str(s), str(t)) for s, t in record.get("pairs", []))
-            predictions[str(record["id"])] = Prediction(
-                pairs=pairs,
-                dropped_unknown_labels=int(record.get("dropped_unknown_labels", 0)),
-            )
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"{path}:{lineno}: bad prediction record: {exc}") from exc
-    return predictions
+            predictions[rid] = Prediction(pairs, int(record.get("dropped_unknown_labels", 0)))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            raise DataError(f"{path}:{lineno}: bad prediction record: {exc!r}") from exc
+    return predictions, groups
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    gold = corpus.load_dataset(args.gold)
-    predictions = _read_predictions(Path(args.predictions))
-    groups = _read_groups(Path(args.groups))
-    gold_ids = {ex.id for ex in gold}
-    orphans = sorted(gold_ids.symmetric_difference(predictions))
+    run_dir = Path(args.run_dir)
+    gold = corpus.load_dataset(run_dir / "gold.jsonl")
+    predictions, groups = _read_predictions(run_dir / "predictions.jsonl")
+    orphans = sorted({ex.id for ex in gold}.symmetric_difference(predictions))
     if orphans:
         raise DataError(f"gold/prediction id mismatch: {', '.join(orphans[:10])}")
-    counts: dict[str, MatchCounts] = {}
-    for ex in gold:
-        counts[ex.id] = score_example(ex, predictions[ex.id], args.mode)
+    counts = {ex.id: score_example(ex, predictions[ex.id], args.mode) for ex in gold}
     result = aggregate(counts, groups, args.mode)
     print(harness.render_report({"rescored": result}), end="")
     return 0
@@ -156,10 +142,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     results = {}
     for path in map(Path, args.results):
+        text = read_input(path, "result file")
         try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload = json.loads(text)
             result = harness.EvalResult.from_dict(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
             raise DataError(f"{path}: bad result file: {exc!r}") from exc
         name = str(payload.get("name", path.stem))
         if name in results:
@@ -213,10 +200,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
     p.add_argument("--list", action="store_true")
     p.set_defaults(func=cmd_templates)
 
-    p = sub.add_parser("score", help="rescore logged predictions offline")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--groups", required=True)
+    p = sub.add_parser("score", help="rescore a run directory's predictions offline")
+    p.add_argument("run_dir", help="the out_dir of an eval run")
     p.add_argument("--mode", choices=scorer.MODES, default=scorer.TEXT_MATCH)
     p.set_defaults(func=cmd_score)
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .corpus import LabeledExample
+from .corpus import LabeledExample, derive_seed
 from .errors import ClientError, ConfigError
 from .parser import answer_clause
 
@@ -98,8 +98,7 @@ def _render_gold(ex: LabeledExample) -> str:
 def _complete_noisy(
     prompt: str, cfg: ModelConfig, ex: LabeledExample, labels: tuple[str, ...]
 ) -> str:
-    digest = hashlib.sha256(f"{cfg.seed}:{prompt}".encode("utf-8")).digest()
-    rng = random.Random(int.from_bytes(digest[:8], "big"))
+    rng = random.Random(derive_seed(cfg.seed, prompt))
     lines: list[str] = []
     for span in ex.spans:
         label = span.slot_type
@@ -129,7 +128,7 @@ def _retry_delay(attempt: int, retry_after: str | None) -> float:
 
 
 def _post_json(
-    url: str, payload: object, timeout: float, headers: dict[str, str] | None = None
+    url: str, payload: object, timeout: float = 30.0, headers: dict[str, str] | None = None
 ) -> dict:
     """POST payload as JSON and return the JSON object of the 200 response.
 
@@ -257,14 +256,18 @@ class ResponseCache:
             return None
 
     def put(self, key: str, cfg: ModelConfig, prompt: str, response: str) -> None:
-        os.makedirs(self.path, exist_ok=True)
         record = {
             "model": model_key(cfg),
             "temperature": cfg.temperature,
             "prompt_sha": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "response": response,
         }
-        with open(self._file(key), "w", encoding="utf-8") as handle:
+        try:
+            handle = open(self._file(key), "w", encoding="utf-8")
+        except FileNotFoundError:
+            os.makedirs(self.path, exist_ok=True)
+            handle = open(self._file(key), "w", encoding="utf-8")
+        with handle:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
 
 

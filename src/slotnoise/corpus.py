@@ -8,6 +8,7 @@ so anything that loads is safe to share across workers.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import re
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
 from .errors import ConfigError, DataError, ParseError
+from .schema import read_input, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -33,6 +35,12 @@ CHUNK_SIZE = 256
 JSONL_SPANS = "jsonl_spans"
 CONLL_BIO = "conll_bio"
 FORMATS = (JSONL_SPANS, CONLL_BIO)
+
+
+def derive_seed(seed: int, key: str) -> int:
+    """Stable 64-bit seed derived from a base seed and a string key."""
+    digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
+    return int.from_bytes(digest[:8], "big")
 
 
 def is_token(text: str) -> bool:
@@ -99,11 +107,7 @@ class LabelSet:
     @classmethod
     def load(cls, path: str | Path) -> "LabelSet":
         """Read one label per line; blank lines are ignored."""
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"label file not found: {path}")
-        lines = path.read_text(encoding="utf-8").splitlines()
-        return cls(tuple(line.strip() for line in lines if line.strip()))
+        return cls(tuple(read_lines(path, "label file")))
 
 
 @dataclass(frozen=True)
@@ -317,26 +321,26 @@ def _example_from_record(record: dict) -> LabeledExample:
     )
 
 
-def _load_jsonl(path: Path) -> list[LabeledExample]:
+def _load_jsonl(text: str, path: Path) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-            try:
-                examples.append(_example_from_record(record))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
-            except DataError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from exc
+    # Only "\n" ends a record: an id or slot type may hold U+2028, where splitlines() splits
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        try:
+            examples.append(_example_from_record(record))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
     return examples
 
 
-def _load_conll(path: Path, split: str) -> tuple[list[LabeledExample], int]:
+def _load_conll(text: str, path: Path, split: str) -> tuple[list[LabeledExample], int]:
     examples: list[LabeledExample] = []
     tokens: list[str] = []
     tags: list[str] = []
@@ -357,21 +361,18 @@ def _load_conll(path: Path, split: str) -> tuple[list[LabeledExample], int]:
         tokens.clear()
         tags.clear()
 
-    last_line = 0
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            last_line = lineno
-            line = line.rstrip("\n")
-            if not line.strip():
-                _flush(lineno - 1)
-                start_line = lineno + 1
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
-            tokens.append(parts[0])
-            tags.append(parts[1])
-    _flush(last_line)
+    lines = text.split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            _flush(lineno - 1)
+            start_line = lineno + 1
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 'token<TAB>tag', got {line!r}")
+        tokens.append(parts[0])
+        tags.append(parts[1])
+    _flush(len(lines))
     return examples, total_repairs
 
 
@@ -384,13 +385,12 @@ def load_dataset(
     path = Path(path)
     if fmt not in FORMATS:
         raise ConfigError(f"unknown dataset format: {fmt!r} (expected one of {FORMATS})")
-    if not path.exists():
-        raise ConfigError(f"dataset file not found: {path}")
+    text = read_input(path, "dataset file")
     split = split_name if split_name is not None else path.stem
     if fmt == JSONL_SPANS:
-        examples = _load_jsonl(path)
+        examples = _load_jsonl(text, path)
     else:
-        examples, repairs = _load_conll(path, split)
+        examples, repairs = _load_conll(text, path, split)
         if repairs:
             log.info("repaired %d dangling I- tags while loading %s", repairs, path)
     return Dataset(tuple(examples), LabelSet.from_observed(examples), split)

@@ -53,11 +53,11 @@ def _bucket(gram: str) -> int:
     return int.from_bytes(digest, "big") % EMBED_DIM
 
 
-def http_embedding_provider(endpoint: str, timeout: float = 30.0) -> EmbeddingProvider:
+def http_embedding_provider(endpoint: str) -> EmbeddingProvider:
     """Provider posting {"texts": [...]} and expecting {"vectors": [[...]]}."""
 
     def _call(texts: Sequence[str]) -> np.ndarray:
-        body = _post_json(endpoint, {"texts": list(texts)}, timeout)
+        body = _post_json(endpoint, {"texts": list(texts)})
         try:
             return np.asarray(body["vectors"], dtype=np.float64)
         except (KeyError, TypeError, ValueError) as exc:

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .client import ModelConfig, ResponseCache, cached_complete
-from .corpus import Dataset, LabeledExample, LabelSet, chunked, dump_jsonl, jsonl_lines
-from .corpus import load_dataset, save_dataset
+from .corpus import Dataset, LabeledExample, LabelSet, chunked, derive_seed, dump_jsonl
+from .corpus import jsonl_lines, load_dataset, save_dataset
 from .demos import (
     Candidates,
     DemonstrationSet,
@@ -39,13 +38,13 @@ from .demos import (
 )
 from .errors import ConfigError, HarnessError
 from .parser import parse_predictions
-from .perturb import PerturbationSpec, derive_seed, spec_from_dict, spec_to_dict
+from .perturb import PerturbationSpec, spec_from_dict, spec_to_dict
 from .pools import POOL_LABELS, DataPool, build_pool
 from .prompts import PromptTemplate, bundled_registry, load_registry, render_prompt
-from .schema import fields_to_dict, parse_json, resolve_path, scalars_from_dict
-from .scorer import MODES as SCORING_MODES, EvalResult, MatchCounts, aggregate, score_example
-
-log = logging.getLogger(__name__)
+from .schema import check_unique, fields_to_dict, parse_json, read_input, resolve_path
+from .schema import scalars_from_dict
+from .scorer import MODES as SCORING_MODES, CLEAN_GROUP, EvalResult, MatchCounts, aggregate
+from .scorer import score_example
 
 # Config fields holding paths, resolved against the config file's directory.
 _PATH_FIELDS = ("out_dir", "pool_clean", "templates_dir", "labels_path", "cache_dir")
@@ -87,10 +86,10 @@ class RunConfig:
         object.__setattr__(self, "pool_specs", tuple(self.pool_specs))
         if not self.test_splits:
             raise ConfigError("config needs at least one test split")
-        groups = [group for group, _ in self.test_splits]
-        repeated = next((g for i, g in enumerate(groups) if g in groups[:i]), None)
-        if repeated is not None:
-            raise ConfigError(f"test split group {repeated!r} is listed more than once")
+        check_unique(
+            (group for group, _ in self.test_splits),
+            lambda group: f"test split group {group!r} is listed more than once",
+        )
         if self.demo_k < 0:
             raise ConfigError(f"demo_k must be >= 0, got {self.demo_k}")
         if not 0 <= self.max_error_fraction <= 1:
@@ -132,7 +131,7 @@ class RunConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
         path = Path(path)
-        data = parse_json(path.read_text(encoding="utf-8"), str(path))
+        data = parse_json(read_input(path, "config file"), str(path))
         return cls.from_dict(data, base_dir=path.parent)
 
 
@@ -288,7 +287,7 @@ def _execute(
         dump_jsonl(out / "errors.jsonl", errors)
     else:
         (out / "errors.jsonl").unlink(missing_ok=True)
-    failed = len({error["id"] for error in errors})  # an example may fail in two stages
+    failed = count_failed(errors)
     if counts and failed / len(counts) > cfg.max_error_fraction:
         raise HarnessError(
             f"{failed}/{len(counts)} examples failed "
@@ -300,6 +299,11 @@ def _execute(
     _write_json(out / "result.json", payload)
     render_report({cfg.name: result}, out_dir=out)
     return result
+
+
+def count_failed(errors: Iterable[Mapping]) -> int:
+    """Examples among the error records; an example may fail in two stages."""
+    return len({error["id"] for error in errors})
 
 
 def sweep_demo_count(cfg: RunConfig, ks: Sequence[int]) -> dict[int, EvalResult]:
@@ -362,10 +366,8 @@ def _cell(value: float | None, base_value: float | None = None) -> str:
 
 
 def _column_order(result: EvalResult) -> list[str]:
-    names = list(result.per_group)
-    clean = [n for n in names if n.lower() == "clean"]
-    noisy = [n for n in names if n.lower() != "clean"]
-    return clean + noisy
+    """The clean group first, then the others in run order."""
+    return sorted(result.per_group, key=lambda name: name.lower() != CLEAN_GROUP)
 
 
 def render_report(

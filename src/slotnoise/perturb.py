@@ -16,7 +16,6 @@ shift spans but are forbidden strictly inside one; appends leave spans alone.
 
 from __future__ import annotations
 
-import hashlib
 import random
 import string
 from dataclasses import dataclass, field, replace
@@ -24,9 +23,9 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .client import _post_json
-from .corpus import Dataset, LabeledExample, SlotSpan, is_token, leftmost_match
+from .corpus import Dataset, LabeledExample, SlotSpan, derive_seed, is_token, leftmost_match
 from .errors import ClientError, ConfigError
-from .schema import check_keys, hint, resolve_path, scalars_from_dict
+from .schema import check_keys, hint, read_lines, resolve_path, scalars_from_dict
 
 CHAR_TYPOS = "char_typos"
 WORD_HOMOPHONE = "word_homophone"
@@ -133,12 +132,6 @@ class PerturbationReport:
             f"spans_dropped={self.spans_dropped} spans_repaired={self.spans_repaired} "
             f"notes={len(self.notes)}"
         )
-
-
-def derive_seed(seed: int, key: str) -> int:
-    """Stable 64-bit seed derived from a base seed and a string key."""
-    digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _rng(spec: PerturbationSpec, ex: LabeledExample) -> random.Random:
@@ -334,11 +327,11 @@ def identity_paraphrase(text: str) -> str:
     return text
 
 
-def http_paraphrase_provider(endpoint: str, timeout: float = 30.0) -> ParaphraseProvider:
+def http_paraphrase_provider(endpoint: str) -> ParaphraseProvider:
     """Provider posting {"text": ...} to an HTTP endpoint returning the same shape."""
 
     def _call(text: str) -> str:
-        paraphrase = _post_json(endpoint, {"text": text}, timeout).get("text")
+        paraphrase = _post_json(endpoint, {"text": text}).get("text")
         if not isinstance(paraphrase, str):
             raise ClientError(f"malformed response from {endpoint}: no text", status=200)
         return paraphrase
@@ -377,20 +370,12 @@ def perturb_paraphrase(
     return _tag(ex, PARAPHRASE, tokens=new_tokens, spans=tuple(spans)), report
 
 
-def _read_lines(path: object, what: str) -> list[str]:
-    """The stripped, non-empty lines of an asset file."""
-    path = Path(str(path))
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}")
-    return [line.strip() for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
-
-
 def _load_lexicon(value: object, examples) -> dict[str, tuple[str, ...]]:
     if isinstance(value, Mapping):
         return {str(k).lower(): tuple(str(a) for a in alts) for k, alts in value.items()}
     path = DEFAULT_HOMOPHONES if value is None else value
     lexicon: dict[str, tuple[str, ...]] = {}
-    for line in _read_lines(path, "homophone lexicon"):
+    for line in read_lines(str(path), "homophone lexicon"):
         if line.startswith("#"):
             continue
         word, _, alts = line.partition("\t")
@@ -403,7 +388,7 @@ def _load_lexicon(value: object, examples) -> dict[str, tuple[str, ...]]:
 
 
 def _load_items(value: object, what: str) -> tuple[str, ...]:
-    lines = value if isinstance(value, (list, tuple)) else _read_lines(value, what)
+    lines = value if isinstance(value, (list, tuple)) else read_lines(str(value), what)
     items = tuple(str(s) for s in lines if str(s).strip())
     if not items:
         raise ConfigError(f"{what} is empty")

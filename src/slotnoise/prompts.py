@@ -14,6 +14,7 @@ from pathlib import Path
 from .corpus import LabeledExample, LabelSet
 from .demos import DemonstrationSet
 from .errors import ConfigError
+from .schema import read_input
 
 PLACEHOLDERS = ("labels", "demonstrations", "input")
 _HEADER = re.compile(r"^id:\s*(?P<id>\S+)\s+lang:\s*(?P<lang>\S+)\s*$")
@@ -39,8 +40,7 @@ class PromptTemplate:
 
 
 def load_template(path: str | Path) -> PromptTemplate:
-    path = Path(path)
-    text = path.read_text(encoding="utf-8")
+    text = read_input(path, "template file")
     header, _, body = text.partition("\n")
     match = _HEADER.match(header)
     if not match:

@@ -4,7 +4,7 @@ A config object's keys are its field names and its scalar values are coerced
 by their annotated type, so the dataclass is the only statement of the
 schema. Unknown keys, missing required keys and values that fail coercion
 (a bool for a number, a fractional number for an int) raise ConfigError
-naming the key.
+naming the key. Every input file is read by read_input.
 """
 
 from __future__ import annotations
@@ -13,9 +13,9 @@ import difflib
 import json
 from dataclasses import MISSING, fields
 from pathlib import Path
-from typing import Collection, Mapping
+from typing import Callable, Collection, Hashable, Iterable, Mapping
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 # Scalar type by a field's annotation as written (Field.type), which is a
 # string because every module declares its dataclasses under
@@ -32,14 +32,36 @@ def _coerce(kind: type, value: object) -> object:
     return kind(value)
 
 
+def read_input(path: str | Path, what: str) -> str:
+    """The text of the input file at path, which the messages call what."""
+    path = Path(path)
+    try:
+        return path.read_text(encoding="utf-8")
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ConfigError(f"{what} not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path}: cannot read {what}: {exc}") from None
+
+
+def read_lines(path: str | Path, what: str) -> list[str]:
+    """The stripped, non-empty lines of the input file at path."""
+    return [line.strip() for line in read_input(path, what).splitlines() if line.strip()]
+
+
+def check_unique(items: Iterable[Hashable], message: Callable[[Hashable], str]) -> None:
+    """Raise ConfigError(message(item)) for the first item equal to an earlier one."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise ConfigError(message(item))
+        seen.add(item)
+
+
 def parse_json(text: str, where: str) -> object:
     """The JSON value of text; invalid JSON or an object repeating a key is a ConfigError."""
 
     def _unique(pairs: list[tuple[str, object]]) -> dict:
-        keys = [key for key, _ in pairs]
-        repeated = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
-        if repeated is not None:
-            raise ConfigError(f"key {repeated!r} is repeated in {where}")
+        check_unique((key for key, _ in pairs), lambda key: f"key {key!r} is repeated in {where}")
         return dict(pairs)
 
     try:

@@ -594,6 +594,65 @@ class TestConfigSchema:
         assert "'test_splits'" in capsys.readouterr().err
 
 
+def _eval(tmp_path: Path, **overrides) -> list[str]:
+    return ["eval", "--config", str(eval_config(tmp_path, **overrides))]
+
+
+def _augment_in(tmp_path: Path, in_path: Path) -> list[str]:
+    out = str(tmp_path / "out.jsonl")
+    return ["augment", "--in", str(in_path), "--out", out, "--spec", json.dumps(TYPOS)]
+
+
+def _gold_only(tmp_path: Path) -> Path:
+    run_dir = tmp_path / "gold_only"
+    run_dir.mkdir()
+    shutil.copy(CLEAN, run_dir / "gold.jsonl")
+    return run_dir
+
+
+# Each case: (argv given tmp_path and a missing path, a directory and a
+# non-UTF-8 file; what the one error line must say).
+BAD_INPUTS = {
+    "config-missing": lambda t, m, d, b: (
+        ["eval", "--config", str(m)], f"config file not found: {m}"),
+    "config-directory": lambda t, m, d, b: (
+        ["eval", "--config", str(d)], f"config file not found: {d}"),
+    "config-not-utf8": lambda t, m, d, b: (["eval", "--config", str(b)], f"{b}: cannot read"),
+    "split-directory": lambda t, m, d, b: (
+        _eval(t, test_splits={"Clean": str(d)}), f"dataset file not found: {d}"),
+    "split-not-utf8": lambda t, m, d, b: (
+        _eval(t, test_splits={"Clean": str(b)}), f"{b}: cannot read"),
+    "labels-directory": lambda t, m, d, b: (
+        _eval(t, labels_path=str(d)), f"label file not found: {d}"),
+    "empty-homophone-lexicon": lambda t, m, d, b: (
+        _eval(t, pool_specs=[{**SPEECH, "assets": {"homophone_lexicon": ""}}]),
+        "homophone lexicon not found: ."),
+    "augment-in-directory": lambda t, m, d, b: (
+        _augment_in(t, d), f"dataset file not found: {d}"),
+    "augment-in-not-utf8": lambda t, m, d, b: (_augment_in(t, b), f"{b}: cannot read"),
+    "score-without-predictions": lambda t, m, d, b: (
+        ["score", str(_gold_only(t))],
+        f"predictions file not found: {t / 'gold_only' / 'predictions.jsonl'}"),
+    "report-missing": lambda t, m, d, b: (["report", str(m)], f"result file not found: {m}"),
+}
+
+
+@pytest.mark.parametrize(
+    "case, code", [(case, 1 if case.endswith("not-utf8") else 2) for case in BAD_INPUTS]
+)
+def test_bad_input_path_exits_with_one_line_naming_it(tmp_path, capsys, case, code):
+    missing, directory, binary = tmp_path / "missing.json", tmp_path / "dir", tmp_path / "bin.jsonl"
+    directory.mkdir()
+    binary.write_bytes(b'{"id": "u\xff"}\n')
+    argv, message = BAD_INPUTS[case](tmp_path, missing, directory, binary)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*argv) == code
+    err = capsys.readouterr().err
+    prefix = "config error: " if code == 2 else "error: "
+    assert err.count("\n") == 1 and err.startswith(prefix) and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestSweepAndTemplates:
     def test_sweep_prints_table(self, tmp_path, capsys):
         config = eval_config(tmp_path, out_dir=str(tmp_path / "sweep"))
@@ -652,6 +711,13 @@ class TestSweepAndTemplates:
         assert "bogus" in capsys.readouterr().err
         assert not list(tmp_path.glob("cmp/tmpl_*"))
 
+    def test_templates_repeated_id_exits_2_before_any_run(self, tmp_path, capsys):
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
+        code = run_cli("templates", "--config", str(config), "--ids", "t1_english, t1_english")
+        assert code == 2
+        assert "repeated id 't1_english'" in capsys.readouterr().err
+        assert not (tmp_path / "cmp").exists()
+
     def test_templates_baseline_tolerates_spaces(self, tmp_path, capsys):
         config = eval_config(tmp_path, out_dir=str(tmp_path / "cmp"))
         code = run_cli(
@@ -678,12 +744,7 @@ class TestScoreAndReport:
         assert run_cli("eval", "--config", str(config)) == 0
         capsys.readouterr()
         run_dir = tmp_path / "run"
-        code = run_cli(
-            "score",
-            "--gold", str(run_dir / "gold.jsonl"),
-            "--predictions", str(run_dir / "predictions.jsonl"),
-            "--groups", str(run_dir / "groups.tsv"),
-        )
+        code = run_cli("score", str(run_dir))
         assert code == 0
         rescored = capsys.readouterr().out
         original = (run_dir / "report.txt").read_text()
@@ -696,20 +757,15 @@ class TestScoreAndReport:
         config = eval_config(tmp_path)
         assert run_cli("eval", "--config", str(config)) == 0
         capsys.readouterr()
-        run_dir = tmp_path / "run"
-        empty = tmp_path / "empty_predictions.jsonl"
+        run_dir = shutil.copytree(tmp_path / "run", tmp_path / "empty")
+        empty = run_dir / "predictions.jsonl"
         lines = []
-        for line in (run_dir / "predictions.jsonl").read_text().splitlines():
+        for line in empty.read_text().splitlines():
             record = json.loads(line)
             record["pairs"] = []
             lines.append(json.dumps(record))
         empty.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        code = run_cli(
-            "score",
-            "--gold", str(run_dir / "gold.jsonl"),
-            "--predictions", str(empty),
-            "--groups", str(run_dir / "groups.tsv"),
-        )
+        code = run_cli("score", str(run_dir))
         assert code == 0
         out = capsys.readouterr().out
         row = next(l for l in out.splitlines() if l.startswith("rescored"))
@@ -722,13 +778,7 @@ class TestScoreAndReport:
         scores = {}
         for mode in ("text_match", "strict_span"):
             capsys.readouterr()
-            assert run_cli(
-                "score",
-                "--gold", str(run_dir / "gold.jsonl"),
-                "--predictions", str(run_dir / "predictions.jsonl"),
-                "--groups", str(run_dir / "groups.tsv"),
-                "--mode", mode,
-            ) == 0
+            assert run_cli("score", str(run_dir), "--mode", mode) == 0
             out = capsys.readouterr().out
             row = next(l for l in out.splitlines() if l.startswith("rescored"))
             scores[mode] = [float(c) for c in row.split()[1:]]
@@ -738,19 +788,38 @@ class TestScoreAndReport:
     def test_id_mismatch_lists_orphans(self, tmp_path, capsys):
         config = eval_config(tmp_path)
         assert run_cli("eval", "--config", str(config)) == 0
-        run_dir = tmp_path / "run"
-        truncated = tmp_path / "some_predictions.jsonl"
-        lines = (run_dir / "predictions.jsonl").read_text().splitlines()
+        run_dir = shutil.copytree(tmp_path / "run", tmp_path / "truncated")
+        truncated = run_dir / "predictions.jsonl"
+        lines = truncated.read_text().splitlines()
         truncated.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
-        code = run_cli(
-            "score",
-            "--gold", str(run_dir / "gold.jsonl"),
-            "--predictions", str(truncated),
-            "--groups", str(run_dir / "groups.tsv"),
-        )
+        code = run_cli("score", str(run_dir))
         assert code == 1
         err = capsys.readouterr().err
         assert json.loads(lines[-1])["id"] in err
+
+    def test_prediction_record_without_group_exits_1_naming_the_line(self, tmp_path, capsys):
+        assert run_cli("eval", "--config", str(eval_config(tmp_path))) == 0
+        run_dir = shutil.copytree(tmp_path / "run", tmp_path / "ungrouped")
+        predictions = run_dir / "predictions.jsonl"
+        lines = predictions.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[1])
+        del record["group"]
+        lines[1] = json.dumps(record)
+        predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("score", str(run_dir)) == 1
+        assert f"{predictions}:2: bad prediction record: KeyError('group')" in capsys.readouterr().err
+
+    def test_score_keeps_a_record_whose_id_holds_a_line_separator(self, tmp_path, capsys):
+        split = tmp_path / "split.jsonl"
+        clean = (DATA_DIR / "clean.jsonl").read_text(encoding="utf-8")
+        split.write_text(clean.replace('"id": "u001"', '"id": "u\u2028001"'), encoding="utf-8")
+        config = eval_config(tmp_path, test_splits={"Clean": str(split)}, demo_k=0)
+        assert run_cli("eval", "--config", str(config)) == 0
+        capsys.readouterr()
+        assert run_cli("score", str(tmp_path / "run")) == 0
+        row = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("rescored"))
+        assert row.split()[1] == "100.00"
 
     def test_report_from_stored_results(self, tmp_path, capsys):
         config_a = eval_config(tmp_path, name="runA")

@@ -219,6 +219,13 @@ class TestIO:
         assert loaded.examples == clean_dataset.examples
         assert list(loaded.labels) == list(clean_dataset.labels)
 
+    def test_line_separators_inside_a_record_do_not_split_it(self, tmp_path):
+        ex = LabeledExample("u\u2028001", ("play", "jazz"), (SlotSpan(1, 1, "genre\x85x"),))
+        ds = Dataset((ex,), LabelSet(("genre\x85x",)))
+        path = tmp_path / "separators.jsonl"
+        save_dataset(ds, path)
+        assert load_dataset(path).examples == (ex,)
+
     def test_single_line_bio_file(self, tmp_path):
         path = tmp_path / "tiny.conll"
         path.write_text("play\tO\njazz\tB-genre\n", encoding="utf-8")

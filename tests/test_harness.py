@@ -123,6 +123,20 @@ class TestRunExperiment:
         payload = json.loads((out / "result.json").read_text())
         assert payload["config_hash"] == config_hash(cfg)
 
+    def test_cold_run_makes_the_cache_directory_once(self, tmp_path, monkeypatch):
+        made = []
+        real = client_mod.os.makedirs
+
+        def counting(path, *args, **kwargs):
+            made.append(Path(path))
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(client_mod.os, "makedirs", counting)
+        clean = (("Clean", str(DATA_DIR / "clean.jsonl")),)
+        run_experiment(base_config(tmp_path, test_splits=clean, demo_k=0))
+        assert made.count(tmp_path / "run" / "cache") == 1
+        assert len(list((tmp_path / "run" / "cache").iterdir())) == 30
+
     def test_responses_attributable_to_example_and_prompt(self, tmp_path):
         run_experiment(base_config(tmp_path))
         out = tmp_path / "run"

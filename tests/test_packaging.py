@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import shlex
@@ -99,6 +100,19 @@ def test_readme_augment_examples_run(tmp_path, monkeypatch):
     assert [main(argv) for argv in commands] == [0, 0]
     # the README says the composite line writes the bundled Spe+Typ split
     assert (tmp_path / "mix.jsonl").read_bytes() == (DATA_DIR / "spe_typ.jsonl").read_bytes()
+
+
+def test_readme_score_example_runs(tmp_path, monkeypatch, capsys):
+    [argv] = [argv for argv in readme_cli_commands() if argv[0] == "score"]
+    splits = {"Clean": str(DATA_DIR / "clean.jsonl"), "Typos": str(DATA_DIR / "typos.jsonl")}
+    config = {"test_splits": splits, "out_dir": "run", "model": {"kind": "echo_gold"}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--config", "config.json"]) == 0
+    capsys.readouterr()
+    assert main(argv) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("rescored"))
+    assert row.split()[1:] == ["100.00"] * 3
 
 
 def test_src_modules_use_every_name_they_import():
