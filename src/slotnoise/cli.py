@@ -30,7 +30,6 @@ def cmd_augment(args: argparse.Namespace) -> int:
     ds = corpus.load_dataset(in_path)
     perturbed, report = perturb.perturb_dataset(ds, spec)
     name = perturb.display_name(spec)
-    perturbed = corpus.Dataset(perturbed.examples, perturbed.labels, name)
     corpus.save_dataset(perturbed, out_path)
     print(f"{name}: {report.summary()}", file=sys.stderr)
     print(f"wrote {len(perturbed)} examples to {out_path}", file=sys.stderr)

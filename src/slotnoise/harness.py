@@ -36,10 +36,10 @@ from .demos import (
     build_instance_demos,
     http_embedding_provider,
 )
-from .errors import ConfigError, HarnessError
+from .errors import ConfigError, DataError, HarnessError
 from .parser import parse_predictions
 from .perturb import PerturbationSpec, spec_from_dict, spec_to_dict
-from .pools import POOL_LABELS, DataPool, build_pool
+from .pools import POOL_LABELS, build_pool
 from .prompts import PromptTemplate, bundled_registry, load_registry, render_prompt
 from .schema import check_unique, fields_to_dict, parse_json, read_input, resolve_path
 from .schema import scalars_from_dict
@@ -170,10 +170,12 @@ def _run(subs: Sequence[RunConfig]) -> list[EvalResult]:
 
 
 def _prepare(subs: Sequence[RunConfig]) -> tuple:
-    """What the variants share, loaded before any write.
+    """What the variants share, settled before any write.
 
-    The template registry, label file, splits, pool and demonstration candidates (a
-    PoolIndex under retrieve); there is no pool unless a variant has demo_k > 0.
+    The template registry; the label file's labels, else those observed over the
+    pool's mixed set and then the splits; the splits; and the demonstration
+    candidates (a PoolIndex under retrieve), None unless a variant has demo_k > 0.
+    In entity mode a label that no candidate carries is a DataError.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
@@ -188,31 +190,31 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
             raise ConfigError(
                 f"slot type {missing[0]!r} of split {group!r} is not in {cfg.labels_path}"
             )
-    pool = candidates = None
+    datasets = [ds for _, ds in splits]
+    candidates = None
     if any(sub.demo_k > 0 for sub in subs):
-        clean = load_dataset(cfg.pool_clean, split_name="clean")
-        pool = build_pool(clean, cfg.pool_specs)
+        pool = build_pool(load_dataset(cfg.pool_clean, split_name="clean"), cfg.pool_specs)
+        datasets.insert(0, pool.mixed)
         candidates = pool.select(cfg.demo_pool).examples
-        if cfg.demo_strategy == RETRIEVE_STRATEGY:
-            provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
-            candidates = PoolIndex(candidates, provider)
-    return registry, labels, splits, pool, candidates
-
-
-def _run_labels(labels: LabelSet | None, pool: DataPool | None, splits: Sequence) -> LabelSet:
-    """The label file's set, else the labels observed in the pool and the splits."""
-    if labels is not None:
-        return labels
-    datasets = ([pool.mixed] if pool else []) + [ds for _, ds in splits]
-    return LabelSet.from_observed(ex for ds in datasets for ex in ds)
+    if labels is None:
+        labels = LabelSet.from_observed(ex for ds in datasets for ex in ds)
+    if candidates is not None and cfg.demo_mode == ENTITY_MODE:
+        carried = {span.slot_type for ex in candidates for span in ex.spans}
+        missing = ", ".join(name for name in labels if name not in carried)
+        if missing:
+            where = f"demo_pool {cfg.demo_pool!r} of {cfg.pool_clean}"
+            raise DataError(f"no candidate in {where} demonstrates labels: {missing}")
+    if candidates is not None and cfg.demo_strategy == RETRIEVE_STRATEGY:
+        provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
+        candidates = PoolIndex(candidates, provider)
+    return registry, labels, splits, candidates
 
 
 def preview_demos(cfg: RunConfig, count: int) -> list[tuple[str, LabeledExample, DemonstrationSet]]:
     """(run id, example, demonstrations) of the first count examples, as a run builds them."""
     if cfg.demo_k == 0:
         raise ConfigError("previewing demonstrations needs demo_k > 0 in the config")
-    _, labels, splits, pool, candidates = _prepare([cfg])
-    labels = _run_labels(labels, pool, splits)
+    _, labels, splits, candidates = _prepare([cfg])
     examples = islice(_run_order(splits), count)
     return [(rid, ex, _build_demos(cfg, ex, candidates, labels)) for rid, _, ex in examples]
 
@@ -225,16 +227,14 @@ def _run_order(splits: Sequence[tuple[str, Dataset]]) -> Iterator[tuple[str, str
 def _execute(
     cfg: RunConfig,
     registry: Mapping[str, PromptTemplate],
-    labels: LabelSet | None,
+    labels: LabelSet,
     splits: Sequence[tuple[str, Dataset]],
-    pool: DataPool | None,
     candidates: Candidates | None,
 ) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "config.json", cfg.to_dict())
     template = registry[cfg.template_id]
-    labels = _run_labels(labels, pool if cfg.demo_k else None, splits)
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
     # Only these outlive a chunk; prompts, responses and log records do not.
     gold_examples: list[LabeledExample] = []
@@ -253,7 +253,7 @@ def _execute(
             prompt_errors.append({"id": rid, "stage": "prompt", "error": str(exc)})
             return render_prompt(template, labels, None, ex)
 
-    names = ("prompts.jsonl", "responses.jsonl", "predictions.jsonl", "groups.tsv")
+    names = ("prompts.jsonl", "responses.jsonl", "predictions.jsonl")
     with ExitStack() as stack:
         logs = [stack.enter_context((out / name).open("w", encoding="utf-8")) for name in names]
         workers = cfg.model.max_in_flight
@@ -279,7 +279,6 @@ def _execute(
                 )
             for handle, chunk_records in zip(logs, records):
                 handle.write(jsonl_lines(chunk_records))
-            logs[3].write("".join(f"{rid}\t{group}\n" for rid, group, _ in chunk))
 
     save_dataset(Dataset(tuple(gold_examples), labels, "gold"), out / "gold.jsonl")
     errors = prompt_errors + complete_errors

@@ -44,8 +44,9 @@ def read_input(path: str | Path, what: str) -> str:
 
 
 def read_lines(path: str | Path, what: str) -> list[str]:
-    """The stripped, non-empty lines of the input file at path."""
-    return [line.strip() for line in read_input(path, what).splitlines() if line.strip()]
+    """The stripped, non-empty lines of the input file at path, split at "\n" alone
+    as JSONL is, so a line keeps a U+2028 that a slot type may hold."""
+    return [line.strip() for line in read_input(path, what).split("\n") if line.strip()]
 
 
 def check_unique(items: Iterable[Hashable], message: Callable[[Hashable], str]) -> None:

@@ -2,9 +2,10 @@
 
 text_match scores one-to-one multiset matching between normalized gold and
 predicted pairs. strict_span additionally requires the predicted surface,
-located leftmost in the gold utterance, to coincide exactly with a gold span
-of the same type. Scores are percentages in [0, 100]; the Overall block
-reports both micro and macro aggregation over the non-clean groups.
+located leftmost in the gold utterance outside the gold spans already
+credited, to be a gold span of the same type. Scores are percentages in
+[0, 100]; the Overall block reports micro and macro aggregation over the
+non-clean groups.
 """
 
 from __future__ import annotations
@@ -112,19 +113,15 @@ def score_example(
         tp = sum((gold_counter & pred_counter).values())
     else:
         lowered = [tok.lower() for tok in gold.tokens]
-        unused = list(gold.spans)
+        spans = {(span.start, span.end, span.slot_type) for span in gold.spans}
+        taken: set[int] = set()  # token indices of the gold spans credited so far
         tp = 0
         for surface, label in predicted:
             needle = surface.split()
-            start = leftmost_match(lowered, needle)
-            if start is None:
-                continue
-            end = start + len(needle) - 1
-            for i, span in enumerate(unused):
-                if span.start == start and span.end == end and span.slot_type == label:
-                    del unused[i]
-                    tp += 1
-                    break
+            start = leftmost_match(lowered, needle, taken)
+            if start is not None and (start, start + len(needle) - 1, label) in spans:
+                taken.update(range(start, start + len(needle)))
+                tp += 1
     return MatchCounts(tp=tp, fp=len(predicted) - tp, fn=len(gold.spans) - tp)
 
 

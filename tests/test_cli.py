@@ -585,6 +585,19 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert http_server.seen == []
 
+    def test_label_file_line_keeps_a_line_separator_a_slot_type_holds(self, tmp_path):
+        # JSONL splits at "\n" alone, so a slot type may hold U+2028; so may a label line
+        label = "genre\u2028x"
+        split = tmp_path / "split.jsonl"
+        record = {"id": "e1", "tokens": ["play", "jazz"], "spans": [{"start": 1, "end": 1, "type": label}]}
+        split.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        labels = tmp_path / "labels.txt"
+        labels.write_text(label + "\n", encoding="utf-8")
+        config = eval_config(tmp_path, test_splits={"Clean": str(split)}, labels_path=str(labels), demo_k=0)
+        assert run_cli("eval", "--config", str(config)) == 0
+        [line] = (tmp_path / "run" / "prompts.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
+        assert f"allowed slot types are: {label}.\n" in json.loads(line)["prompt"]
+
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         config = eval_config(tmp_path)
         payload = json.loads(config.read_text(encoding="utf-8"))
@@ -592,6 +605,60 @@ class TestConfigSchema:
         config.write_text(json.dumps(payload), encoding="utf-8")
         assert run_cli("eval", "--config", str(config)) == 2
         assert "'test_splits'" in capsys.readouterr().err
+
+
+def entity_config_with_unseen_label(tmp_path: Path, **overrides) -> Path:
+    """An entity run whose label file adds a label no pool candidate carries."""
+    splits = {g: str(DATA_DIR / f) for g, f in SINGLE_SPLITS[:2]}
+    observed = LabelSet.from_observed(ex for path in splits.values() for ex in load_dataset(path))
+    labels = tmp_path / "labels.txt"
+    labels.write_text("\n".join([*observed.names, "unseen_label"]) + "\n", encoding="utf-8")
+    return eval_config(
+        tmp_path,
+        test_splits=splits,
+        labels_path=str(labels),
+        demo_mode="entity",
+        demo_k=1,
+        max_error_fraction=1.0,
+        **overrides,
+    )
+
+
+class TestRunLabelSet:
+    @pytest.mark.parametrize("strategy", ["random", "retrieve"])
+    def test_label_no_candidate_carries_exits_1_before_any_write(self, tmp_path, capsys, strategy):
+        config = entity_config_with_unseen_label(tmp_path, demo_strategy=strategy)
+        assert run_cli("eval", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.count("unseen_label") == 1 and "'clean'" in err
+        assert not (tmp_path / "run").exists()
+
+    def test_template_comparison_with_unsupported_label_writes_nothing(self, tmp_path, capsys):
+        config = entity_config_with_unseen_label(tmp_path)
+        assert run_cli("templates", "--config", str(config), "--ids", "t1_english,t2_concise") == 1
+        assert capsys.readouterr().err.count("unseen_label") == 1
+        assert not (tmp_path / "run").exists()  # so no tmpl_* sub-run directory either
+
+    def test_preview_with_unsupported_label_exits_1_naming_it(self, tmp_path, capsys):
+        config = entity_config_with_unseen_label(tmp_path)
+        assert run_cli("demo-preview", "--config", str(config)) == 1
+        captured = capsys.readouterr()
+        assert "unseen_label" in captured.err and not captured.out
+
+    def test_every_sweep_sub_run_lists_the_same_labels(self, tmp_path):
+        # the pool carries a label that no test split holds
+        pool = tmp_path / "pool.jsonl"
+        extra = {"id": "x1", "tokens": ["book", "a", "pod"], "spans": [{"start": 2, "end": 2, "type": "vehicle"}]}
+        pool.write_text(Path(CLEAN).read_text(encoding="utf-8") + json.dumps(extra) + "\n", encoding="utf-8")
+        config = eval_config(tmp_path, out_dir=str(tmp_path / "sweep"), pool_clean=str(pool))
+        assert run_cli("sweep", "--config", str(config), "--ks", "0,1") == 0
+        listed = {}
+        for k in ("k0", "k1"):
+            lines = (tmp_path / "sweep" / k / "prompts.jsonl").read_text(encoding="utf-8").splitlines()
+            prompts = [json.loads(line)["prompt"] for line in lines]
+            listed[k] = {p.split("allowed slot types are: ", 1)[1].split(".\n", 1)[0] for p in prompts}
+        assert len(listed["k0"]) == 1 and listed["k0"] == listed["k1"]
+        assert "vehicle" in next(iter(listed["k0"])).split(", ")
 
 
 def _eval(tmp_path: Path, **overrides) -> list[str]:

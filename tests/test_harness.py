@@ -111,7 +111,6 @@ class TestRunExperiment:
         for name in (
             "config.json",
             "gold.jsonl",
-            "groups.tsv",
             "prompts.jsonl",
             "responses.jsonl",
             "predictions.jsonl",
@@ -120,6 +119,7 @@ class TestRunExperiment:
             "report.tsv",
         ):
             assert (out / name).exists(), name
+        assert not (out / "groups.tsv").exists()  # each prediction record carries its group
         payload = json.loads((out / "result.json").read_text())
         assert payload["config_hash"] == config_hash(cfg)
 

@@ -115,6 +115,20 @@ def test_readme_score_example_runs(tmp_path, monkeypatch, capsys):
     assert row.split()[1:] == ["100.00"] * 3
 
 
+def test_readme_lists_the_files_of_a_run_directory(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("The run directory", 1)[1].split("receives", 1)[1].split("`cache/`", 1)[0]
+    listed = set(re.findall(r"`([^`]+)`", sentence))
+    splits = {"Clean": str(DATA_DIR / "clean.jsonl"), "Typos": str(DATA_DIR / "typos.jsonl")}
+    config = {"test_splits": splits, "out_dir": "run", "model": {"kind": "echo_gold"}}
+    (tmp_path / "config.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    assert main(["eval", "--config", "config.json"]) == 0
+    assert "partial failures" not in capsys.readouterr().err
+    written = {p.name for p in (tmp_path / "run").iterdir()} - {"cache"}
+    assert listed == written
+
+
 def test_src_modules_use_every_name_they_import():
     # __init__.py is left out: it imports names to re-export them.
     unused = []

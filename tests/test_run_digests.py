@@ -22,7 +22,6 @@ DIGESTS = {
         "responses.jsonl": "8103e5313f398214778d0a7af13d32509af32a542b90c38e76cf7a301954be47",
         "predictions.jsonl": "25df381c9b40f1613e6261156b3b3c175f85049495924bb3672728c698c94dfb",
         "gold.jsonl": "0ee930bfafcba58196bb68c269fe4eeb801f82306e316b4ae77f3b86f780864d",
-        "groups.tsv": "ede2263e3404ff05d213a1b4967550c264f9e3c715569390a744e02a645f619f",
         "report.tsv": "8e68ecbcd53f2061008e4bec162fa452eacb06af7437d6817b6f5c03fbdfbe5a",
     },
     "mock_mixed.json": {
@@ -30,7 +29,6 @@ DIGESTS = {
         "responses.jsonl": "da28fb4c29e3b2273b9354f8c40e47e0ba0e07080c742e8350a55e24c7983371",
         "predictions.jsonl": "5f1e392b1076f5cde9816434e7e3e6dae06631a344bc8f3c053ab9d8e5f2b825",
         "gold.jsonl": "d8782568c0972fd38999a214082b1406a2eccfd5fefe0c831d0ef575000bf461",
-        "groups.tsv": "7d3660c382be423a8d26aa54846e633f721613a8fa2aa68a291faf0ffa165050",
         "report.tsv": "451659c6230704a3da5d77d1c8ddc814b6576978fdcd37d10a9b86414bb861ba",
     },
 }
@@ -57,7 +55,6 @@ RETRIEVE_VARIANTS = {
             "responses.jsonl": "1135b3310608f7c3b953555faaec438573852a390539df9972522c858119dfa4",
             "predictions.jsonl": "25df381c9b40f1613e6261156b3b3c175f85049495924bb3672728c698c94dfb",
             "gold.jsonl": "0ee930bfafcba58196bb68c269fe4eeb801f82306e316b4ae77f3b86f780864d",
-            "groups.tsv": "ede2263e3404ff05d213a1b4967550c264f9e3c715569390a744e02a645f619f",
             "report.tsv": "c66e04bce66ea72116fb2ae4d3b9f26caabe7a0a8103c35c955303649294b8b3",
         },
     ),
@@ -69,7 +66,6 @@ RETRIEVE_VARIANTS = {
             "responses.jsonl": "4f6763717c7cd8ee2aee2f2669294248b430064d871580087a78a28dd77f3f69",
             "predictions.jsonl": "a8c82d6e1e694e5d5a2206d6f8d12c728b15c01b82fad030779fea1dade70bd0",
             "gold.jsonl": "d8782568c0972fd38999a214082b1406a2eccfd5fefe0c831d0ef575000bf461",
-            "groups.tsv": "7d3660c382be423a8d26aa54846e633f721613a8fa2aa68a291faf0ffa165050",
             "report.tsv": "0502ab086a5759d064d0a2b5695053130e87adff500a060cf23ee49d0fc21827",
         },
     ),

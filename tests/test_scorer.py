@@ -120,6 +120,12 @@ class TestStrictSpan:
         assert text.tp == 1
         assert strict.tp == 0  # leftmost match lands on token 0, not the gold span
 
+    def test_repeated_surface_credits_each_gold_span_once(self):
+        ex = make_example(["jazz", "and", "jazz"], [(0, 0, "genre"), (2, 2, "genre")])
+        pred = prediction(("jazz", "genre"), ("jazz", "genre"))
+        assert score_example(ex, pred, "strict_span") == MatchCounts(tp=2, fp=0, fn=0)
+        assert score_example(ex, pred, "text_match") == MatchCounts(tp=2, fp=0, fn=0)
+
     def test_correct_position_passes_strict(self):
         pred = prediction(("rainy day", "playlist"), ("spotify", "service"))
         strict = score_example(GOLD, pred, "strict_span")
