@@ -6,11 +6,11 @@ provider can be plugged in via :func:`http_embedding_provider` when higher
 fidelity retrieval is wanted.
 
 The demonstration builders take the candidates they choose from: a sequence
-of examples, or a :class:`PoolIndex` over them, which holds the candidates
-embedded once into a matrix. Retrieval ranks against the index; a run builds
-one and ranks every query against it, so each candidate is embedded once per
-run (a plain sequence gets a local index per call). Ranking is exact top-k
-by cosine similarity, ties broken by ascending candidate id.
+of examples, or a :class:`PoolIndex` over them. A run builds one index under
+either strategy and draws or ranks every query against it, so each label's
+candidates are listed and each candidate embedded at most once per run (a
+plain sequence becomes a local index per call). Ranking is exact top-k by
+cosine similarity, ties broken by ascending candidate id.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -108,12 +109,14 @@ def embed(text: str) -> np.ndarray:
 
 
 class PoolIndex:
-    """The candidates of one pool, embedded once for similarity ranking.
+    """The candidates of one pool in pool order, listed by label and embedded.
 
-    Holds the n x d matrix of candidate vectors (rows normalized by the code
-    behind :func:`embed`), the candidates in pool order, the rows of the
-    candidates bearing each slot label, and the trigram-bucket memo of the
-    local embedding.
+    ``label_spans`` holds the (row, span index) of every span of each slot
+    label and ``label_rows`` the rows bearing it, both in pool order;
+    ``matrix`` holds the n x d candidate vectors (rows normalized as by
+    :func:`embed`). Each is computed on first use, so an instance-mode run
+    never lists labels and a ``random`` run never embeds, except that a
+    provider embeds the pool when the index is built.
     """
 
     def __init__(
@@ -122,16 +125,25 @@ class PoolIndex:
         self.candidates = tuple(candidates)
         self.provider = provider
         self._buckets: dict[str, int] = {}
-        self.matrix = _embed_texts(
-            [c.utterance for c in self.candidates], provider, self._buckets
-        )
-        label_rows: dict[str, list[int]] = {}
-        for i, ex in enumerate(self.candidates):
-            for name in {span.slot_type for span in ex.spans}:
-                label_rows.setdefault(name, []).append(i)
-        self.label_rows = {
-            name: np.asarray(rows, dtype=np.intp) for name, rows in label_rows.items()
-        }
+        if provider is not None:
+            self.matrix  # a provider embeds the pool now
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        return _embed_texts([c.utterance for c in self.candidates], self.provider, self._buckets)
+
+    @cached_property
+    def label_spans(self) -> dict[str, list[tuple[int, int]]]:
+        spans: dict[str, list[tuple[int, int]]] = {}
+        for row, ex in enumerate(self.candidates):
+            for i, span in enumerate(ex.spans):
+                spans.setdefault(span.slot_type, []).append((row, i))
+        return spans
+
+    @cached_property
+    def label_rows(self) -> dict[str, np.ndarray]:
+        rows = {name: [row for row, _ in spans] for name, spans in self.label_spans.items()}
+        return {name: np.unique(np.asarray(r, dtype=np.intp)) for name, r in rows.items()}
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -177,10 +189,6 @@ Candidates = Sequence[LabeledExample] | PoolIndex
 def _index(candidates: Candidates) -> PoolIndex:
     """candidates as an index: itself, or a new one with the local embedding."""
     return candidates if isinstance(candidates, PoolIndex) else PoolIndex(candidates)
-
-
-def _examples(candidates: Candidates) -> Sequence[LabeledExample]:
-    return candidates.candidates if isinstance(candidates, PoolIndex) else candidates
 
 
 def rank_by_similarity(
@@ -255,16 +263,8 @@ def build_entity_demos(
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
-    if strategy == RANDOM_STRATEGY:
-        by_label: dict[str, list[tuple[LabeledExample, int]]] = {}
-        for ex in _examples(candidates):
-            for i, span in enumerate(ex.spans):
-                by_label.setdefault(span.slot_type, []).append((ex, i))
-        supported = by_label.keys()
-    else:
-        index = _index(candidates)
-        supported = index.label_rows.keys()
-    missing = [name for name in labels if name not in supported]
+    index = _index(candidates)
+    missing = [name for name in labels if name not in index.label_spans]
     if missing:
         raise DataError(f"no candidate demonstrates labels: {', '.join(missing)}")
     rng = random.Random(seed)
@@ -274,7 +274,9 @@ def build_entity_demos(
     items: list[DemoItem] = []
     for name in labels:
         if strategy == RANDOM_STRATEGY:
-            ex, span_idx = by_label[name][rng.randrange(len(by_label[name]))]
+            spans = index.label_spans[name]
+            row, span_idx = spans[rng.randrange(len(spans))]
+            ex = index.candidates[row]
             span = ex.spans[span_idx]
         else:
             ex = index.top_k(query, 1, index.label_rows[name], scores)[0]
@@ -301,16 +303,16 @@ def build_instance_demos(
         raise ConfigError(f"unknown strategy: {strategy!r}")
     if k <= 0:
         return DemonstrationSet(())
-    if not len(candidates):
+    index = _index(candidates)
+    if not len(index):
         raise DataError("no candidates to demonstrate from")
     notes: tuple[str, ...] = ()
-    if k > len(candidates):
-        notes = (f"requested {k} demonstrations, pool has {len(candidates)}",)
-        k = len(candidates)
+    if k > len(index):
+        notes = (f"requested {k} demonstrations, pool has {len(index)}",)
+        k = len(index)
     if strategy == RANDOM_STRATEGY:
-        examples = _examples(candidates)
-        chosen = [examples[i] for i in random.Random(seed).sample(range(len(examples)), k)]
+        chosen = [index.candidates[i] for i in random.Random(seed).sample(range(len(index)), k)]
     else:
-        chosen = rank_by_similarity(input_ex, candidates, k=k)
+        chosen = rank_by_similarity(input_ex, index, k=k)
     items = tuple(DemoItem(_render_instance(ex), (ex.id,)) for ex in chosen)
     return DemonstrationSet(items, notes)

@@ -24,7 +24,6 @@ from .client import ModelConfig, ResponseCache, cached_complete
 from .corpus import Dataset, LabeledExample, LabelSet, chunked, derive_seed, dump_jsonl
 from .corpus import jsonl_lines, load_dataset, save_dataset
 from .demos import (
-    Candidates,
     DemonstrationSet,
     ENTITY_MODE,
     INSTANCE_MODE,
@@ -150,7 +149,7 @@ def _write_json(path: Path, data: dict) -> None:
 
 
 def _build_demos(
-    cfg: RunConfig, ex: LabeledExample, candidates: Candidates, labels: LabelSet
+    cfg: RunConfig, ex: LabeledExample, candidates: PoolIndex, labels: LabelSet
 ) -> DemonstrationSet:
     demo_seed = derive_seed(cfg.seed, f"demos:{ex.id}")
     if cfg.demo_mode == ENTITY_MODE:
@@ -173,9 +172,10 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
     """What the variants share, settled before any write.
 
     The template registry; the label file's labels, else those observed over the
-    pool's mixed set and then the splits; the splits; and the demonstration
-    candidates (a PoolIndex under retrieve), None unless a variant has demo_k > 0.
-    In entity mode a label that no candidate carries is a DataError.
+    pool's mixed set and then the splits; the splits; and one PoolIndex over the
+    demo_pool candidates, None unless a variant has demo_k > 0. An empty
+    demo_pool is a DataError, and so is, in entity mode, a label that no
+    candidate carries.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
@@ -191,22 +191,23 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
                 f"slot type {missing[0]!r} of split {group!r} is not in {cfg.labels_path}"
             )
     datasets = [ds for _, ds in splits]
+    where = f"demo_pool {cfg.demo_pool!r} of {cfg.pool_clean}"
     candidates = None
     if any(sub.demo_k > 0 for sub in subs):
         pool = build_pool(load_dataset(cfg.pool_clean, split_name="clean"), cfg.pool_specs)
         datasets.insert(0, pool.mixed)
-        candidates = pool.select(cfg.demo_pool).examples
+        examples = pool.select(cfg.demo_pool).examples
+        if not examples:
+            raise DataError(f"{where} holds no candidates to demonstrate from")
+        endpoint = cfg.embed_endpoint if cfg.demo_strategy == RETRIEVE_STRATEGY else ""
+        provider = http_embedding_provider(endpoint) if endpoint else None
+        candidates = PoolIndex(examples, provider)
     if labels is None:
         labels = LabelSet.from_observed(ex for ds in datasets for ex in ds)
     if candidates is not None and cfg.demo_mode == ENTITY_MODE:
-        carried = {span.slot_type for ex in candidates for span in ex.spans}
-        missing = ", ".join(name for name in labels if name not in carried)
+        missing = ", ".join(name for name in labels if name not in candidates.label_spans)
         if missing:
-            where = f"demo_pool {cfg.demo_pool!r} of {cfg.pool_clean}"
             raise DataError(f"no candidate in {where} demonstrates labels: {missing}")
-    if candidates is not None and cfg.demo_strategy == RETRIEVE_STRATEGY:
-        provider = http_embedding_provider(cfg.embed_endpoint) if cfg.embed_endpoint else None
-        candidates = PoolIndex(candidates, provider)
     return registry, labels, splits, candidates
 
 
@@ -229,7 +230,7 @@ def _execute(
     registry: Mapping[str, PromptTemplate],
     labels: LabelSet,
     splits: Sequence[tuple[str, Dataset]],
-    candidates: Candidates | None,
+    candidates: PoolIndex | None,
 ) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -69,7 +69,8 @@ def parse_predictions(text: str, labels: LabelSet) -> Prediction:
             return
         pairs.append((surface, label))
 
-    for raw_line in text.splitlines():
+    # "\n" alone ends a line, as in a JSONL split: a slot type may hold U+2028
+    for raw_line in text.split("\n"):
         line = _NUMBERING.sub("", raw_line).strip()
         if not line:
             continue

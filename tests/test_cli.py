@@ -597,6 +597,9 @@ class TestConfigSchema:
         assert run_cli("eval", "--config", str(config)) == 0
         [line] = (tmp_path / "run" / "prompts.jsonl").read_text(encoding="utf-8").split("\n")[:-1]
         assert f"allowed slot types are: {label}.\n" in json.loads(line)["prompt"]
+        # and the answer line "jazz" is genre\u2028x parses back whole
+        result = json.loads((tmp_path / "run" / "result.json").read_text(encoding="utf-8"))
+        assert result["result"]["per_group"]["Clean"]["f1"] == 100.0
 
     def test_missing_required_key_exits_2(self, tmp_path, capsys):
         config = eval_config(tmp_path)
@@ -644,6 +647,32 @@ class TestRunLabelSet:
         assert run_cli("demo-preview", "--config", str(config)) == 1
         captured = capsys.readouterr()
         assert "unseen_label" in captured.err and not captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval"],
+            ["sweep", "--ks", "0,5"],
+            ["templates", "--ids", "t1_english,t2_concise"],
+            ["demo-preview"],
+        ],
+        ids=["eval", "sweep", "templates", "demo-preview"],
+    )
+    def test_empty_demo_pool_exits_1_before_any_request(self, tmp_path, capsys, http_server, argv):
+        # "augment" without pool_specs holds no candidate
+        config = eval_config(
+            tmp_path,
+            demo_pool="augment",
+            demo_k=5,
+            max_error_fraction=1.0,
+            model={"kind": "remote", "endpoint": http_server.url},
+        )
+        assert run_cli(argv[0], "--config", str(config), *argv[1:]) == 1
+        captured = capsys.readouterr()
+        assert f"demo_pool 'augment' of {CLEAN} holds no candidates" in captured.err
+        assert not captured.out
+        assert not (tmp_path / "run").exists()
+        assert http_server.seen == []
 
     def test_every_sweep_sub_run_lists_the_same_labels(self, tmp_path):
         # the pool carries a label that no test split holds

@@ -7,6 +7,7 @@ import random
 import threading
 from collections import Counter
 from dataclasses import replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 
 from slotnoise import client as client_mod
 from slotnoise import corpus as corpus_mod
+from slotnoise import demos as demos_mod
 from slotnoise import harness as harness_mod
 from slotnoise import perturb
 from slotnoise.client import ModelConfig, ResponseCache
@@ -33,13 +35,14 @@ from slotnoise.harness import (
     RunConfig,
     compare_templates,
     config_hash,
+    preview_demos,
     render_report,
     run_experiment,
     sweep_demo_count,
 )
 from slotnoise.scorer import MatchCounts, aggregate
 
-from conftest import DATA_DIR, SINGLE_SPLITS
+from conftest import DATA_DIR, ROOT, SINGLE_SPLITS
 from httpfake import chat_reply
 from test_scorer import TABLE_FIXTURE_ROW, table_fixture_result
 
@@ -654,6 +657,42 @@ class TestPrepareOnce:
         expected[("load", cfg.pool_clean, "clean")] = 1
         expected.update(build_pool=1, PoolIndex=1, registry=1)
         assert dict(calls) == expected
+
+
+class TestOneIndex:
+    """A run lists each label's candidates and embeds its pool at most once."""
+
+    @pytest.mark.parametrize("mode", ["instance", "entity"])
+    def test_random_run_and_preview_never_embed(self, tmp_path, monkeypatch, mode):
+        embedded = []
+        embed_texts = demos_mod._embed_texts
+
+        def recording(texts, *args):
+            embedded.append(list(texts))
+            return embed_texts(texts, *args)
+
+        monkeypatch.setattr(demos_mod, "_embed_texts", recording)
+        cfg = base_config(tmp_path, demo_mode=mode)
+        run_experiment(cfg)
+        assert len(preview_demos(cfg, 5)) == 5
+        assert embedded == []
+
+    def test_entity_random_run_lists_labels_once(self, tmp_path, monkeypatch):
+        listed = []
+        label_spans = PoolIndex.label_spans.func
+
+        def counting(index):
+            listed.append(len(index))
+            return label_spans(index)
+
+        counted = cached_property(counting)
+        counted.__set_name__(PoolIndex, "label_spans")
+        monkeypatch.setattr(PoolIndex, "label_spans", counted)
+        cfg = RunConfig.from_json(ROOT / "configs" / "mock_mixed.json")
+        assert (cfg.demo_mode, cfg.demo_strategy) == ("entity", "random")
+        result = run_experiment(replace(cfg, out_dir=str(tmp_path / "run")))
+        assert len(result.per_example) > 1
+        assert listed == [len(load_dataset(cfg.pool_clean))]
 
 
 class TestRenderReport:

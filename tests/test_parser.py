@@ -48,6 +48,14 @@ class TestPatternOne:
         assert pred.pairs == (("drake", "artist"),)
         assert pred.dropped_unknown_labels == 1
 
+    def test_crlf_reply(self):
+        pred = parse_predictions('"jazz" is genre.\r\n"drake" is artist.\r\n', LABELS)
+        assert pred.pairs == (("jazz", "genre"), ("drake", "artist"))
+
+    def test_line_separator_in_a_label_does_not_end_the_line(self):
+        pred = parse_predictions('"jazz" is genre\u2028x.\n', LabelSet(("genre\u2028x",)))
+        assert pred.pairs == (("jazz", "genre\u2028x"),)
+
     def test_duplicates_preserved(self):
         pred = parse_predictions('"jazz" is genre.\n"jazz" is genre.', LABELS)
         assert pred.pairs == (("jazz", "genre"), ("jazz", "genre"))
