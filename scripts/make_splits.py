@@ -12,14 +12,13 @@ construction, standing in for pre-perturbed test data.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from slotnoise.corpus import Dataset, LabeledExample, LabelSet, SlotSpan, save_dataset
+from slotnoise.corpus import Dataset, LabeledExample, LabelSet, SlotSpan, save_dataset, write_json
 from slotnoise.perturb import (
     APPEND_IRR,
     CHAR_TYPOS,
@@ -181,9 +180,7 @@ def main(out_dir: Path = DATA_DIR) -> None:
         save_dataset(Dataset(tuple(examples), clean.labels, name), out_dir / f"{name}.jsonl")
         print(f"{name}: rewrote {len(examples)} examples")
 
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     print(f"splits written to {out_dir}")
 
 

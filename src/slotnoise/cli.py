@@ -9,7 +9,6 @@ run config's specs or augment's --spec state.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -69,8 +68,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     result = harness.run_experiment(cfg)
     errors_log = Path(cfg.out_dir) / "errors.jsonl"
     if errors_log.exists():
-        lines = errors_log.read_text(encoding="utf-8").split("\n")
-        n_failed = harness.count_failed(json.loads(line) for line in lines if line)
+        records = corpus.jsonl_records(read_input(errors_log, "errors log"), errors_log)
+        n_failed = harness.count_failed(record for _, record in records)
         print(f"partial failures: {n_failed} examples errored; see {errors_log}", file=sys.stderr)
     print(harness.render_report({cfg.name: result}), end="")
     return 0
@@ -110,12 +109,8 @@ def _read_predictions(path: Path) -> tuple[dict[str, Prediction], dict[str, str]
     """The prediction and the group of each run id in a predictions.jsonl."""
     predictions: dict[str, Prediction] = {}
     groups: dict[str, str] = {}
-    # split as corpus splits JSONL, at "\n" alone
-    for lineno, line in enumerate(read_input(path, "predictions file").split("\n"), 1):
-        if not line.strip():
-            continue
+    for lineno, record in corpus.jsonl_records(read_input(path, "predictions file"), path):
         try:
-            record = json.loads(line)
             rid = str(record["id"])
             groups[rid] = str(record["group"])
             pairs = tuple((str(s), str(t)) for s, t in record.get("pairs", []))
@@ -143,10 +138,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     for path in map(Path, args.results):
         text = read_input(path, "result file")
         try:
-            payload = json.loads(text)
+            payload = parse_json(text, str(path))
             result = harness.EvalResult.from_dict(payload["result"])
-        except (ValueError, KeyError, TypeError, AttributeError, ConfigError) as exc:
-            raise DataError(f"{path}: bad result file: {exc!r}") from exc
+        except (KeyError, TypeError, AttributeError, ConfigError) as exc:
+            why = exc if isinstance(exc, ConfigError) else repr(exc)
+            raise DataError(f"{path}: bad result file: {why}") from exc
         name = str(payload.get("name", path.stem))
         if name in results:
             name = f"{name}:{path.stem}"

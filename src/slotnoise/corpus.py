@@ -308,36 +308,23 @@ def _example_to_record(ex: LabeledExample) -> dict:
     }
 
 
-def _example_from_record(record: dict) -> LabeledExample:
-    spans = tuple(
-        SlotSpan(int(s["start"]), int(s["end"]), str(s["type"]))
-        for s in record.get("spans", [])
-    )
-    return LabeledExample(
-        id=str(record["id"]),
-        tokens=tuple(str(t) for t in record["tokens"]),
-        spans=spans,
-        provenance=provenance_from_str(str(record.get("provenance", CLEAN_PROVENANCE))),
-    )
-
-
-def _load_jsonl(text: str, path: Path) -> list[LabeledExample]:
-    examples: list[LabeledExample] = []
-    # Only "\n" ends a record: an id or slot type may hold U+2028, where splitlines() splits
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
-        try:
-            examples.append(_example_from_record(record))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad record: {exc}") from exc
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from exc
-    return examples
+def _example_from_record(record: dict, where: str) -> LabeledExample:
+    """The example a JSONL record states; where, its path:line, prefixes any error."""
+    try:
+        spans = tuple(
+            SlotSpan(int(s["start"]), int(s["end"]), str(s["type"]))
+            for s in record.get("spans", [])
+        )
+        return LabeledExample(
+            id=str(record["id"]),
+            tokens=tuple(str(t) for t in record["tokens"]),
+            spans=spans,
+            provenance=provenance_from_str(str(record.get("provenance", CLEAN_PROVENANCE))),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ParseError(f"{where}: bad record: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from exc
 
 
 def _load_conll(text: str, path: Path, split: str) -> tuple[list[LabeledExample], int]:
@@ -388,7 +375,7 @@ def load_dataset(
     text = read_input(path, "dataset file")
     split = split_name if split_name is not None else path.stem
     if fmt == JSONL_SPANS:
-        examples = _load_jsonl(text, path)
+        examples = [_example_from_record(r, f"{path}:{n}") for n, r in jsonl_records(text, path)]
     else:
         examples, repairs = _load_conll(text, path, split)
         if repairs:
@@ -407,6 +394,28 @@ def jsonl_lines(records: Iterable[dict]) -> str:
     """One JSON record per line, keys sorted, non-ASCII kept as is."""
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
     return "".join(encode(record) + "\n" for record in records)
+
+
+def jsonl_records(text: str, path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, JSON value) of each non-blank line of JSONL text read from path.
+
+    Only "\n" ends a record, as an id or slot type may hold U+2028, where
+    splitlines() splits. A line that is not JSON is a ParseError at path:line.
+    """
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+        yield lineno, record
+
+
+def write_json(path: Path, data: object) -> None:
+    """Write data as one JSON document: indent 2, keys sorted, non-ASCII kept."""
+    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def dump_jsonl(path: Path, records: Iterable[dict]) -> None:

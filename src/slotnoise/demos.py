@@ -19,7 +19,7 @@ import hashlib
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -116,17 +116,27 @@ class PoolIndex:
     ``matrix`` holds the n x d candidate vectors (rows normalized as by
     :func:`embed`). Each is computed on first use, so an instance-mode run
     never lists labels and a ``random`` run never embeds, except that a
-    provider embeds the pool when the index is built.
+    provider embeds the pool when the index is built, labels checked first.
     """
 
     def __init__(
-        self, candidates: Sequence[LabeledExample], provider: EmbeddingProvider | None = None
+        self,
+        candidates: Sequence[LabeledExample],
+        provider: EmbeddingProvider | None = None,
+        labels: Iterable[str] = (),
     ):
         self.candidates = tuple(candidates)
         self.provider = provider
         self._buckets: dict[str, int] = {}
+        self.require_labels(labels)
         if provider is not None:
             self.matrix  # a provider embeds the pool now
+
+    def require_labels(self, labels: Iterable[str]) -> None:
+        """Raise DataError naming every one of labels that no candidate carries."""
+        missing = [name for name in labels if name not in self.label_spans]
+        if missing:
+            raise DataError(f"no candidate demonstrates labels: {', '.join(missing)}")
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -264,9 +274,7 @@ def build_entity_demos(
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy: {strategy!r}")
     index = _index(candidates)
-    missing = [name for name in labels if name not in index.label_spans]
-    if missing:
-        raise DataError(f"no candidate demonstrates labels: {', '.join(missing)}")
+    index.require_labels(labels)
     rng = random.Random(seed)
     if strategy == RETRIEVE_STRATEGY:
         query = index.embed(input_ex.utterance)

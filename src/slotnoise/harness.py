@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from .client import ModelConfig, ResponseCache, cached_complete
 from .corpus import Dataset, LabeledExample, LabelSet, chunked, derive_seed, dump_jsonl
-from .corpus import jsonl_lines, load_dataset, save_dataset
+from .corpus import jsonl_lines, load_dataset, save_dataset, write_json
 from .demos import (
     DemonstrationSet,
     ENTITY_MODE,
@@ -143,11 +143,6 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_json(path: Path, data: dict) -> None:
-    text = json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False)
-    path.write_text(text + "\n", encoding="utf-8")
-
-
 def _build_demos(
     cfg: RunConfig, ex: LabeledExample, candidates: PoolIndex, labels: LabelSet
 ) -> DemonstrationSet:
@@ -190,24 +185,25 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
             raise ConfigError(
                 f"slot type {missing[0]!r} of split {group!r} is not in {cfg.labels_path}"
             )
-    datasets = [ds for _, ds in splits]
-    where = f"demo_pool {cfg.demo_pool!r} of {cfg.pool_clean}"
-    candidates = None
+    pool = None
     if any(sub.demo_k > 0 for sub in subs):
         pool = build_pool(load_dataset(cfg.pool_clean, split_name="clean"), cfg.pool_specs)
-        datasets.insert(0, pool.mixed)
-        examples = pool.select(cfg.demo_pool).examples
-        if not examples:
-            raise DataError(f"{where} holds no candidates to demonstrate from")
-        endpoint = cfg.embed_endpoint if cfg.demo_strategy == RETRIEVE_STRATEGY else ""
-        provider = http_embedding_provider(endpoint) if endpoint else None
-        candidates = PoolIndex(examples, provider)
     if labels is None:
+        datasets = ([] if pool is None else [pool.mixed]) + [ds for _, ds in splits]
         labels = LabelSet.from_observed(ex for ds in datasets for ex in ds)
-    if candidates is not None and cfg.demo_mode == ENTITY_MODE:
-        missing = ", ".join(name for name in labels if name not in candidates.label_spans)
-        if missing:
-            raise DataError(f"no candidate in {where} demonstrates labels: {missing}")
+    if pool is None:
+        return registry, labels, splits, None
+    where = f"demo_pool {cfg.demo_pool!r} of {cfg.pool_clean}"
+    examples = pool.select(cfg.demo_pool).examples
+    if not examples:
+        raise DataError(f"{where} holds no candidates to demonstrate from")
+    endpoint = cfg.embed_endpoint if cfg.demo_strategy == RETRIEVE_STRATEGY else ""
+    provider = http_embedding_provider(endpoint) if endpoint else None
+    try:
+        # checks entity mode's labels before a provider embeds the pool
+        candidates = PoolIndex(examples, provider, labels if cfg.demo_mode == ENTITY_MODE else ())
+    except DataError as exc:
+        raise DataError(f"{where}: {exc}") from None
     return registry, labels, splits, candidates
 
 
@@ -234,7 +230,7 @@ def _execute(
 ) -> EvalResult:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "config.json", cfg.to_dict())
+    write_json(out / "config.json", cfg.to_dict())
     template = registry[cfg.template_id]
     cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
     # Only these outlive a chunk; prompts, responses and log records do not.
@@ -296,7 +292,7 @@ def _execute(
 
     result = aggregate(counts, groups, cfg.scoring_mode)
     payload = {"name": cfg.name, "config_hash": config_hash(cfg), "result": result.to_dict()}
-    _write_json(out / "result.json", payload)
+    write_json(out / "result.json", payload)
     render_report({cfg.name: result}, out_dir=out)
     return result
 
@@ -327,13 +323,14 @@ def _run_variants(cfg: RunConfig, variants: Mapping[object, dict]) -> dict:
 
 
 def _write_sweep_table(out: Path, results: Mapping[int, EvalResult]) -> None:
-    first = next(iter(results.values()))
-    columns = list(first.per_group)
-    header = ["k", *columns, "Overall"]
-    lines = ["\t".join(header)]
-    for k in sorted(results):
-        lines.append("\t".join([str(k), *map(_cell, _f1s(results[k], columns))]))
-    (out / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = list(next(iter(results.values())).per_group)
+    rows = [[str(k), *map(_cell, _f1s(results[k], columns))] for k in sorted(results)]
+    (out / "sweep.tsv").write_text(_tsv([["k", *columns, "Overall"], *rows]), encoding="utf-8")
+
+
+def _tsv(rows: Iterable[Sequence[str]]) -> str:
+    """rows as tab-separated lines, each newline-terminated."""
+    return "".join("\t".join(row) + "\n" for row in rows)
 
 
 def compare_templates(cfg: RunConfig, template_ids: Sequence[str]) -> dict[str, EvalResult]:
@@ -395,26 +392,20 @@ def render_report(
     rows = [[name, *map(_cell, _f1s(r, columns), base_f1s)] for name, r in results.items()]
 
     widths = [max(len(header[i]), *(len(r[i]) for r in rows)) for i in range(len(header))]
-    text_lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip(),
-        "  ".join("-" * widths[i] for i in range(len(header))),
-    ]
-    for row in rows:
-        text_lines.append(
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
+
+    def _aligned(cells: Sequence[str]) -> str:
+        return "  ".join(cell.ljust(width) for cell, width in zip(cells, widths)).rstrip()
+
+    text_lines = [_aligned(header), "  ".join("-" * width for width in widths)]
+    text_lines.extend(map(_aligned, rows))
     text_lines.append("")
     for name, result in results.items():
         text_lines.append(f"{name} Overall(macro): {result.overall.macro_f1:.2f}")
     text = "\n".join(text_lines) + "\n"
 
-    tsv_lines = ["\t".join(header)]
-    tsv_lines.extend("\t".join(row) for row in rows)
-    tsv = "\n".join(tsv_lines) + "\n"
-
     if out_dir is not None:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         (out / "report.txt").write_text(text, encoding="utf-8")
-        (out / "report.tsv").write_text(tsv, encoding="utf-8")
+        (out / "report.tsv").write_text(_tsv([header, *rows]), encoding="utf-8")
     return text

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .corpus import Dataset, save_dataset
+from .corpus import Dataset, save_dataset, write_json
 from .errors import ConfigError
 from .perturb import (
     PerturbationSpec,
@@ -73,7 +72,4 @@ def save_pool(pool: DataPool, out_dir: str | Path, specs: Sequence[PerturbationS
     out.mkdir(parents=True, exist_ok=True)
     save_dataset(pool.clean, out / "clean.jsonl")
     save_dataset(pool.augmented, out / "augmented.jsonl")
-    manifest = {"specs": [spec_to_dict(spec) for spec in specs]}
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(out / "manifest.json", {"specs": [spec_to_dict(spec) for spec in specs]})

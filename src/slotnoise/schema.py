@@ -68,7 +68,7 @@ def parse_json(text: str, where: str) -> object:
     try:
         return json.loads(text, object_pairs_hook=_unique)
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{where} is not valid JSON: {exc}") from None
+        raise ConfigError(f"{where} is not valid JSON: {exc!r}") from None
 
 
 def resolve_path(value: str, base_dir: Path | None) -> str:

@@ -5,11 +5,13 @@ import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from slotnoise import harness
 from slotnoise.cli import main
 from slotnoise.corpus import LabelSet, load_dataset
-from slotnoise.demos import PoolIndex
+from slotnoise.demos import PoolIndex, embed
 from slotnoise.harness import RunConfig
 from slotnoise.perturb import spec_from_dict
 from slotnoise.pools import build_pool, save_pool
@@ -183,6 +185,18 @@ class TestPool:
         assert "__char_typos#2" in augmented and "pleigh" in augmented
         manifest = json.loads((out / "manifest.json").read_text())
         assert [spec_from_dict(d) for d in manifest["specs"]] == list(cfg.pool_specs)
+
+    def test_manifest_keeps_a_non_ascii_asset_path_as_is(self, tmp_path):
+        lexicon = tmp_path / "homophones_café.txt"
+        lexicon.write_text("play\tpleigh\n", encoding="utf-8")
+        spec = {"kind": "word_homophone", "p": 1.0, "assets": {"homophone_lexicon": str(lexicon)}}
+        config = eval_config(tmp_path, pool_specs=[spec])
+        out = tmp_path / "pool"
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 0
+        text = (out / "manifest.json").read_text(encoding="utf-8")
+        assert f'"homophone_lexicon": "{lexicon}"' in text
+        (entry,) = json.loads(text)["specs"]
+        assert spec_from_dict(entry) == RunConfig.from_json(config).pool_specs[0]
 
     def test_out_at_pool_clean_directory_exits_2_before_any_write(self, tmp_path, capsys):
         data = tmp_path / "data"
@@ -628,6 +642,40 @@ def entity_config_with_unseen_label(tmp_path: Path, **overrides) -> Path:
 
 
 class TestRunLabelSet:
+    def test_uncovered_label_exits_1_before_any_embedding_request(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        requests = []
+
+        def counting_provider(endpoint):
+            def embed_texts(texts):
+                requests.append(list(texts))
+                return np.stack([embed(text) for text in texts])
+
+            return embed_texts
+
+        monkeypatch.setattr(harness, "http_embedding_provider", counting_provider)
+        names = load_dataset(CLEAN).labels.names
+        labels = tmp_path / "labels.txt"
+        labels.write_text("\n".join([*names, "unseen_label"]) + "\n", encoding="utf-8")
+        config = eval_config(
+            tmp_path,
+            test_splits={"Clean": CLEAN},
+            labels_path=str(labels),
+            demo_mode="entity",
+            demo_strategy="retrieve",
+            demo_k=1,
+            embed_endpoint="http://127.0.0.1:9/embed",
+        )
+        assert run_cli("eval", "--config", str(config)) == 1
+        assert "unseen_label" in capsys.readouterr().err
+        assert requests == []
+        assert not (tmp_path / "run").exists()
+        # the same run over labels every candidate carries embeds the pool first
+        labels.write_text("\n".join(names) + "\n", encoding="utf-8")
+        assert run_cli("eval", "--config", str(config)) == 0
+        assert len(requests[0]) == len(load_dataset(CLEAN))
+
     @pytest.mark.parametrize("strategy", ["random", "retrieve"])
     def test_label_no_candidate_carries_exits_1_before_any_write(self, tmp_path, capsys, strategy):
         config = entity_config_with_unseen_label(tmp_path, demo_strategy=strategy)
@@ -905,6 +953,17 @@ class TestScoreAndReport:
         capsys.readouterr()
         assert run_cli("score", str(run_dir)) == 1
         assert f"{predictions}:2: bad prediction record: KeyError('group')" in capsys.readouterr().err
+
+    def test_prediction_line_not_json_exits_1_naming_the_line(self, tmp_path, capsys):
+        assert run_cli("eval", "--config", str(eval_config(tmp_path))) == 0
+        run_dir = shutil.copytree(tmp_path / "run", tmp_path / "garbled")
+        predictions = run_dir / "predictions.jsonl"
+        lines = predictions.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rstrip("}")
+        predictions.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("score", str(run_dir)) == 1
+        assert f"{predictions}:2: invalid JSON" in capsys.readouterr().err
 
     def test_score_keeps_a_record_whose_id_holds_a_line_separator(self, tmp_path, capsys):
         split = tmp_path / "split.jsonl"

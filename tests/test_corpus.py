@@ -259,6 +259,12 @@ class TestIO:
         with pytest.raises(ParseError, match=":2"):
             load_dataset(path)
 
+    def test_record_that_is_not_an_object_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "listed.jsonl"
+        path.write_text('{"id": "ok", "tokens": ["a"], "spans": []}\n[1, 2]\n', encoding="utf-8")
+        with pytest.raises(ParseError, match=f"{path}:2: bad record"):
+            load_dataset(path)
+
     def test_conll_parse_error_line_number(self, tmp_path):
         path = tmp_path / "broken.conll"
         path.write_text("play\tO\nno-tag-here\n", encoding="utf-8")
