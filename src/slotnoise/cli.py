@@ -1,9 +1,9 @@
 """Command-line surface binding all modules into user workflows.
 
 Exit codes: 0 success, 1 data error, 2 configuration error; an input path
-that is missing or a directory exits 2, an unreadable input file exits 1. No
-command mutates its input files. All randomness flows from the seeds that a
-run config's specs or augment's --spec state.
+that is missing or a directory exits 2, an unreadable input file or an
+unwritable output path exits 1. No command mutates its input files. All
+randomness flows from the seeds a run config's specs or augment's --spec state.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from . import corpus, harness, perturb, pools, scorer
 from .errors import ConfigError, DataError, SlotNoiseError
 from .parser import Prediction
 from .prompts import bundled_registry
-from .schema import check_unique, parse_json, read_input
+from .schema import check_choice, check_unique, parse_json, read_input
 from .scorer import aggregate, score_example
 
 
@@ -98,8 +98,8 @@ def cmd_templates(args: argparse.Namespace) -> int:
     ids = [t.strip() for t in args.ids.split(",") if t.strip()]
     check_unique(ids, lambda tid: f"--ids: repeated id {tid!r}")
     baseline = args.baseline.strip() if args.baseline is not None else None
-    if baseline is not None and baseline not in ids:
-        raise ConfigError(f"--baseline {baseline!r} is not one of --ids")
+    if baseline is not None:
+        check_choice(baseline, ids, "--baseline id")
     results = harness.compare_templates(cfg, ids)
     print(harness.render_report(results, baseline=baseline), end="")
     return 0
@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SlotNoiseError as exc:
+    except (SlotNoiseError, OSError) as exc:  # an OSError here is an output write's
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

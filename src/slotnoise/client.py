@@ -33,6 +33,7 @@ from typing import Callable, Sequence
 from .corpus import LabeledExample, derive_seed
 from .errors import ClientError, ConfigError
 from .parser import answer_clause
+from .schema import check_choice
 
 log = logging.getLogger(__name__)
 
@@ -66,8 +67,7 @@ class ModelConfig:
     fixed_text: str = ""
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown client kind: {self.kind!r}")
+        check_choice(self.kind, KINDS, "model kind")
         if not 0.0 <= self.error_rate <= 1.0:
             raise ConfigError(f"error_rate out of range: {self.error_rate}")
         if not self.timeout > 0:

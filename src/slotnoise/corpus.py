@@ -17,8 +17,8 @@ from itertools import islice
 from pathlib import Path
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .errors import ConfigError, DataError, ParseError
-from .schema import read_input, read_lines
+from .errors import DataError, ParseError
+from .schema import check_choice, read_input, read_lines
 
 log = logging.getLogger(__name__)
 
@@ -370,8 +370,7 @@ def load_dataset(
 ) -> Dataset:
     """Load and validate a dataset; its label set is the union of observed slot types."""
     path = Path(path)
-    if fmt not in FORMATS:
-        raise ConfigError(f"unknown dataset format: {fmt!r} (expected one of {FORMATS})")
+    check_choice(fmt, FORMATS, "dataset format")
     text = read_input(path, "dataset file")
     split = split_name if split_name is not None else path.stem
     if fmt == JSONL_SPANS:

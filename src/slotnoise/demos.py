@@ -27,6 +27,7 @@ from .client import _post_json
 from .corpus import LabeledExample, LabelSet
 from .errors import ClientError, ConfigError, DataError
 from .parser import answer_clause
+from .schema import check_choice
 
 EMBED_DIM = 256
 TIE_SLACK = 1e-9  # batched scores this close to the k-th are re-scored exactly
@@ -271,8 +272,7 @@ def build_entity_demos(
     :func:`rank_by_similarity`. The input is embedded once and every
     candidate scored once; each label's pick is the top-1 over its rows.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy: {strategy!r}")
+    check_choice(strategy, STRATEGIES, "strategy")
     index = _index(candidates)
     index.require_labels(labels)
     rng = random.Random(seed)
@@ -307,8 +307,7 @@ def build_instance_demos(
     Asking for more examples than there are candidates returns them all
     with a note.
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown strategy: {strategy!r}")
+    check_choice(strategy, STRATEGIES, "strategy")
     if k <= 0:
         return DemonstrationSet(())
     index = _index(candidates)

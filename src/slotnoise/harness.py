@@ -40,19 +40,13 @@ from .parser import parse_predictions
 from .perturb import PerturbationSpec, spec_from_dict, spec_to_dict
 from .pools import POOL_LABELS, build_pool
 from .prompts import PromptTemplate, bundled_registry, load_registry, render_prompt
-from .schema import check_unique, fields_to_dict, parse_json, read_input, resolve_path
-from .schema import scalars_from_dict
+from .schema import check_choice, check_unique, fields_to_dict, parse_json, read_input
+from .schema import resolve_path, scalars_from_dict
 from .scorer import MODES as SCORING_MODES, CLEAN_GROUP, EvalResult, MatchCounts, aggregate
 from .scorer import score_example
 
 # Config fields holding paths, resolved against the config file's directory.
 _PATH_FIELDS = ("out_dir", "pool_clean", "templates_dir", "labels_path", "cache_dir")
-_ENUMS = {
-    "demo_mode": DEMO_MODES,
-    "demo_strategy": STRATEGIES,
-    "demo_pool": POOL_LABELS,
-    "scoring_mode": SCORING_MODES,
-}
 
 
 @dataclass(frozen=True)
@@ -95,9 +89,10 @@ class RunConfig:
             raise ConfigError(f"max_error_fraction {self.max_error_fraction} is outside [0, 1]")
         if self.demo_k > 0 and not self.pool_clean:
             raise ConfigError("demo_k > 0 requires pool_clean in the config")
-        for key, allowed in _ENUMS.items():
-            if getattr(self, key) not in allowed:
-                raise ConfigError(f"{key} must be one of {allowed}, got {getattr(self, key)!r}")
+        check_choice(self.demo_mode, DEMO_MODES, "demo_mode")
+        check_choice(self.demo_strategy, STRATEGIES, "demo_strategy")
+        check_choice(self.demo_pool, POOL_LABELS, "demo_pool")
+        check_choice(self.scoring_mode, SCORING_MODES, "scoring_mode")
 
     def to_dict(self) -> dict:
         out = fields_to_dict(self)
@@ -174,9 +169,8 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
-    unknown = [sub.template_id for sub in subs if sub.template_id not in registry]
-    if unknown:
-        raise ConfigError(f"unknown template id: {', '.join(map(repr, unknown))}")
+    for sub in subs:
+        check_choice(sub.template_id, registry, "template id")
     labels = LabelSet.load(cfg.labels_path) if cfg.labels_path else None
     splits = [(group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits]
     for group, ds in splits if labels is not None else ():
@@ -383,8 +377,8 @@ def render_report(
         raise ConfigError("render_report needs at least one result")
     first = next(iter(results.values()))
     columns = _column_order(first)
-    if baseline is not None and baseline not in results:
-        raise ConfigError(f"unknown baseline run: {baseline!r}")
+    if baseline is not None:
+        check_choice(baseline, results, "baseline run")
     base = results[baseline] if baseline is not None else None
 
     header = ["Method", *columns, "Overall"]

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .client import _post_json
 from .corpus import Dataset, LabeledExample, SlotSpan, derive_seed, is_token, leftmost_match
 from .errors import ClientError, ConfigError
-from .schema import check_keys, hint, read_lines, resolve_path, scalars_from_dict
+from .schema import check_choice, check_keys, read_lines, resolve_path, scalars_from_dict
 
 CHAR_TYPOS = "char_typos"
 WORD_HOMOPHONE = "word_homophone"
@@ -70,9 +70,7 @@ class PerturbationSpec:
     members: tuple["PerturbationSpec", ...] = ()
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            hint_text = hint(str(self.kind), KINDS)
-            raise ConfigError(f"unknown perturbation kind: {self.kind!r} ({hint_text})")
+        check_choice(self.kind, KINDS, "perturbation kind")
         if not 0.0 <= self.p <= 1.0:
             raise ConfigError(f"probability out of range: {self.p}")
         object.__setattr__(self, "assets", dict(self.assets))
@@ -549,10 +547,17 @@ def display_name(spec: PerturbationSpec) -> str:
     return "+".join(_TABLE[m.kind].abbrev for m in canonical_member_order(spec.members))
 
 
+# Spec keys a kind does not read: a composite's members carry their own, and a
+# paraphrase rewrites every example without a random draw.
+_UNREAD_KEYS = {COMPOSITE: ("p", "seed", "assets"), PARAPHRASE: ("p", "seed")}
+
+
 def spec_to_dict(spec: PerturbationSpec) -> dict:
     if spec.kind == COMPOSITE:
         return {"kind": COMPOSITE, "members": [spec_to_dict(m) for m in spec.members]}
     out: dict = {"kind": spec.kind, "p": spec.p, "seed": spec.seed}
+    for key in _UNREAD_KEYS.get(spec.kind, ()):
+        del out[key]
     assets = {
         key: (list(value) if isinstance(value, (list, tuple)) else value)
         for key, value in spec.assets.items()
@@ -567,12 +572,12 @@ def spec_from_dict(data: Mapping, base_dir: Path | None = None) -> PerturbationS
     """The spec a config's pool_specs entry states.
 
     A string asset naming a file (all but paraphrase_provider) is taken
-    relative to base_dir, the config file's directory.
+    relative to base_dir, the config file's directory. Keys a kind does not
+    read (_UNREAD_KEYS) are rejected.
     """
-    if isinstance(data, Mapping) and data.get("kind") == COMPOSITE:
-        where, omit = "composite pool spec", ("p", "seed", "assets")
-    else:
-        where, omit = "pool spec", ()
+    kind = data.get("kind") if isinstance(data, Mapping) else None
+    omit = _UNREAD_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+    where = f"{kind} pool spec" if omit else "pool spec"
     kwargs = scalars_from_dict(PerturbationSpec, data, where, omit)
     assets = data.get("assets", {})
     check_keys(assets, ASSET_KEYS, "asset")

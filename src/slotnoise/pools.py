@@ -7,7 +7,6 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Dataset, save_dataset, write_json
-from .errors import ConfigError
 from .perturb import (
     PerturbationSpec,
     kind_token,
@@ -15,6 +14,7 @@ from .perturb import (
     resolve_assets,
     spec_to_dict,
 )
+from .schema import check_choice
 
 POOL_LABELS = ("clean", "augment", "mixed")
 
@@ -40,13 +40,9 @@ class DataPool:
         object.__setattr__(self, "mixed", mixed)
 
     def select(self, pool_label: str) -> Dataset:
-        if pool_label == "clean":
-            return self.clean
-        if pool_label == "augment":
-            return self.augmented
-        if pool_label == "mixed":
-            return self.mixed
-        raise ConfigError(f"unknown pool label: {pool_label!r} (expected one of {POOL_LABELS})")
+        views = dict(zip(POOL_LABELS, (self.clean, self.augmented, self.mixed)))
+        check_choice(pool_label, views, "pool label")
+        return views[pool_label]
 
 
 def build_pool(clean: Dataset, specs: Sequence[PerturbationSpec]) -> DataPool:

@@ -84,6 +84,12 @@ def hint(word: str, valid: Collection[str]) -> str:
     return f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(valid)}"
 
 
+def check_choice(value: object, choices: Collection[str], what: str) -> None:
+    """Reject a value outside choices, naming the closest valid one."""
+    if value not in choices:
+        raise ConfigError(f"unknown {what}: {value!r} ({hint(str(value), choices)})")
+
+
 def check_keys(data: object, valid: Collection[str], where: str) -> None:
     """Reject a non-mapping or any key outside valid, naming the closest valid key."""
     if not isinstance(data, Mapping):

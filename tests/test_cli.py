@@ -186,6 +186,14 @@ class TestPool:
         manifest = json.loads((out / "manifest.json").read_text())
         assert [spec_from_dict(d) for d in manifest["specs"]] == list(cfg.pool_specs)
 
+    def test_manifest_records_no_p_or_seed_for_a_paraphrase_spec(self, tmp_path):
+        spec = {"kind": "paraphrase", "assets": {"paraphrase_provider": "identity"}}
+        config = eval_config(tmp_path, pool_specs=[spec])
+        out = tmp_path / "pool"
+        assert run_cli("pool", "--config", str(config), "--out", str(out)) == 0
+        manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest == {"specs": [spec]}
+
     def test_manifest_keeps_a_non_ascii_asset_path_as_is(self, tmp_path):
         lexicon = tmp_path / "homophones_café.txt"
         lexicon.write_text("play\tpleigh\n", encoding="utf-8")
@@ -424,7 +432,7 @@ class TestEval:
         if provider == "embedding":
             overrides = {"demo_strategy": "retrieve", "embed_endpoint": http_server.url}
         else:
-            spec = {"kind": "paraphrase", "p": 1.0, "assets": {"paraphrase_provider": http_server.url}}
+            spec = {"kind": "paraphrase", "assets": {"paraphrase_provider": http_server.url}}
             overrides = {"pool_specs": [spec], "demo_pool": "augment"}
         assert run_cli("eval", "--config", str(eval_config(tmp_path, **overrides))) == 1
         assert "malformed response" in capsys.readouterr().err
@@ -537,6 +545,24 @@ class TestConfigSchema:
         assert "unknown perturbation kind: 'typos' (did you mean 'char_typos'?)" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
+
+    @pytest.mark.parametrize("key, value", [("p", 0.1), ("seed", 7)])
+    def test_paraphrase_spec_with_p_or_seed_exits_2_before_any_request(
+        self, tmp_path, capsys, http_server, key, value
+    ):
+        # a paraphrase rewrites every example, so a rate or a seed would mislead
+        cache = tmp_path / "cache"
+        spec = {"kind": "paraphrase", "assets": {"paraphrase_provider": http_server.url}, key: value}
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[spec], demo_pool="augment")
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert f"unknown paraphrase pool spec key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+        out = tmp_path / "out.jsonl"
+        assert augment(out, spec) == 2
+        assert f"unknown paraphrase pool spec key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+        assert http_server.seen == []
 
     @pytest.mark.parametrize("command", [["eval"], ["sweep", "--ks", "0,2"]])
     def test_missing_labels_file_exits_2_before_any_write(self, tmp_path, capsys, command):
@@ -794,6 +820,75 @@ def test_bad_input_path_exits_with_one_line_naming_it(tmp_path, capsys, case, co
     err = capsys.readouterr().err
     prefix = "config error: " if code == 2 else "error: "
     assert err.count("\n") == 1 and err.startswith(prefix) and message in err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+# Each case: (argv given tmp_path, an existing directory and an existing file;
+# the output path that argv cannot write).
+BAD_OUTPUTS = {
+    "augment-out-directory": lambda t, d, f: (
+        ["augment", "--in", CLEAN, "--out", str(d), "--spec", json.dumps(TYPOS)], d),
+    "eval-out-dir-file": lambda t, d, f: (_eval(t, out_dir=str(f)), f),
+    "pool-out-file": lambda t, d, f: (["pool", "--config", str(eval_config(t)), "--out", str(f)], f),
+}
+
+
+@pytest.mark.parametrize("case", BAD_OUTPUTS)
+def test_unwritable_output_path_exits_1_with_one_line_naming_it(tmp_path, capsys, case):
+    directory, file = tmp_path / "dir", tmp_path / "file.txt"
+    directory.mkdir()
+    file.write_text("kept\n", encoding="utf-8")
+    argv, path = BAD_OUTPUTS[case](tmp_path, directory, file)
+    before = sorted(tmp_path.rglob("*"))
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and str(path) in err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert file.read_text(encoding="utf-8") == "kept\n"
+
+
+def _stored_result(tmp_path: Path) -> str:
+    """The result.json of an eval run named cli-run, outside tmp_path / "run"."""
+    stored = tmp_path / "stored"
+    assert run_cli(*_eval(tmp_path, out_dir=str(stored))) == 0
+    return str(stored / "result.json")
+
+
+# Each case: (argv given tmp_path; the message naming the setting, the bad
+# value and the closest valid value).
+BAD_CHOICES = {
+    "demo_mode": lambda t: (
+        _eval(t, demo_mode="entities"), "unknown demo_mode: 'entities' (did you mean 'entity'?)"),
+    "demo_strategy": lambda t: (
+        _eval(t, demo_strategy="retrieval"),
+        "unknown demo_strategy: 'retrieval' (did you mean 'retrieve'?)"),
+    "demo_pool": lambda t: (
+        _eval(t, demo_pool="augmented"), "unknown demo_pool: 'augmented' (did you mean 'augment'?)"),
+    "scoring_mode": lambda t: (
+        _eval(t, scoring_mode="strict"),
+        "unknown scoring_mode: 'strict' (did you mean 'strict_span'?)"),
+    "model-kind": lambda t: (
+        _eval(t, model={"kind": "echo"}), "unknown model kind: 'echo' (did you mean 'echo_gold'?)"),
+    "template_id": lambda t: (
+        _eval(t, template_id="t1_englsh"),
+        "unknown template id: 't1_englsh' (did you mean 't1_english'?)"),
+    "templates-baseline": lambda t: (
+        ["templates", "--config", str(eval_config(t)), "--ids", "t1_english,t2_concise",
+         "--baseline", "t2_consise"],
+        "unknown --baseline id: 't2_consise' (did you mean 't2_concise'?)"),
+    "report-baseline": lambda t: (
+        ["report", _stored_result(t), "--baseline", "cli_run"],
+        "unknown baseline run: 'cli_run' (did you mean 'cli-run'?)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CHOICES)
+def test_bad_named_value_exits_2_naming_the_closest_valid_one(tmp_path, capsys, case):
+    argv, message = BAD_CHOICES[case](tmp_path)
+    capsys.readouterr()
+    before = sorted(tmp_path.rglob("*"))  # so no run directory and no cache/
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert sorted(tmp_path.rglob("*")) == before
 
 
