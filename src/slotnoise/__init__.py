@@ -30,7 +30,6 @@ from .parser import Prediction, parse_predictions
 from .perturb import (
     PerturbationReport,
     PerturbationSpec,
-    apply_composite,
     apply_perturbation,
     compose,
     perturb_dataset,
@@ -58,7 +57,6 @@ __all__ = [
     "RunConfig",
     "SlotSpan",
     "aggregate",
-    "apply_composite",
     "apply_perturbation",
     "bio_to_spans",
     "build_entity_demos",

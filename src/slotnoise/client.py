@@ -227,6 +227,9 @@ class ResponseCache:
 
     path: Path
 
+    def __post_init__(self):
+        os.makedirs(self.path, exist_ok=True)  # a path naming a file fails here, once
+
     def key(
         self, cfg: ModelConfig, prompt: str, side_channel: LabeledExample | None = None
     ) -> str:
@@ -262,12 +265,7 @@ class ResponseCache:
             "prompt_sha": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "response": response,
         }
-        try:
-            handle = open(self._file(key), "w", encoding="utf-8")
-        except FileNotFoundError:
-            os.makedirs(self.path, exist_ok=True)
-            handle = open(self._file(key), "w", encoding="utf-8")
-        with handle:
+        with open(self._file(key), "w", encoding="utf-8") as handle:
             handle.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
 
 

@@ -223,10 +223,10 @@ def _execute(
     candidates: PoolIndex | None,
 ) -> EvalResult:
     out = Path(cfg.out_dir)
+    cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "config.json", cfg.to_dict())
     template = registry[cfg.template_id]
-    cache = ResponseCache(Path(cfg.cache_dir) if cfg.cache_dir else out / "cache")
     # Only these outlive a chunk; prompts, responses and log records do not.
     gold_examples: list[LabeledExample] = []
     counts: dict[str, MatchCounts] = {}

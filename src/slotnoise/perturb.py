@@ -4,9 +4,10 @@ Character-level typos, word-level homophone swaps / deletions / insertions,
 and sentence-level irrelevant-sentence appends or paraphrases. Every operator
 is a pure function of (example, spec): randomness is drawn from a generator
 seeded with hash(spec.seed, example.id), so dataset-level perturbation is
-reproducible regardless of iteration order or parallelism. Operators read
-their asset already loaded: apply_perturbation and perturb_dataset (and
-pools.build_pool) load each spec's assets once per call via resolve_assets.
+reproducible regardless of iteration order or parallelism. The operators are
+private and read their asset already loaded: a spec is applied only through
+apply_perturbation, perturb_dataset and pools.build_pool, each of which loads
+its specs' assets first, once per call (_resolve_assets).
 Each kind's operator, composite level, names and asset are stated once, in _TABLE.
 
 Gold spans are remapped alongside the token edits. Char-level and homophone
@@ -57,7 +58,7 @@ class PerturbationSpec:
     assets may hold file paths (str) or in-memory values: a mapping for the
     homophone lexicon, a sequence of words for the insertion vocabulary, a
     sequence of sentences for the append pool, or a provider name, URL or
-    callable for paraphrasing; resolve_assets loads them. A composite spec
+    callable for paraphrasing; _resolve_assets loads them. A composite spec
     holds only its members, which apply in canonical sentence -> word -> char
     order with their own p, seed and assets. Each kind takes only the one
     asset its operator reads.
@@ -157,7 +158,7 @@ def _one_char_edit(token: str, rng: random.Random) -> str:
     return token[:i] + rng.choice(choices) + token[i + 1 :]
 
 
-def perturb_char_typos(
+def _char_typos(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Apply exactly one character edit to each token selected with prob p.
@@ -181,7 +182,7 @@ def perturb_char_typos(
     return _tag(ex, CHAR_TYPOS, tokens=tuple(out)), report
 
 
-def perturb_word_homophone(
+def _word_homophone(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Replace lexicon-covered tokens with a uniform homophone with prob p."""
@@ -233,7 +234,7 @@ def _remap_deleted(
     return out, dropped, shrunk
 
 
-def perturb_word_delete(
+def _word_delete(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Delete each token independently with prob p, keeping at least one.
@@ -263,7 +264,7 @@ def perturb_word_delete(
     return _tag(ex, WORD_DELETE, tokens=tokens, spans=tuple(spans)), report
 
 
-def perturb_word_insert(
+def _word_insert(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Insert vocabulary words at eligible gaps with prob p per gap.
@@ -304,7 +305,7 @@ def perturb_word_insert(
     return _tag(ex, WORD_INSERT, tokens=tuple(tokens), spans=tuple(spans)), report
 
 
-def perturb_append_irr(
+def _append_irr(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Append one irrelevant pool sentence with prob p; spans are untouched."""
@@ -337,7 +338,7 @@ def http_paraphrase_provider(endpoint: str) -> ParaphraseProvider:
     return _call
 
 
-def perturb_paraphrase(
+def _paraphrase(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Rewrite the utterance via a provider and re-locate gold entities.
@@ -401,7 +402,11 @@ def _load_sentences(value: object, examples) -> tuple[str, ...]:
 def _load_vocab(value: object, examples: Iterable[LabeledExample]) -> tuple[str, ...]:
     if value is None:
         return tuple(sorted({tok for ex in examples for tok in ex.tokens}))
-    return _load_items(value, "insertion vocabulary")
+    vocab = _load_items(value, "insertion vocabulary")
+    for word in vocab:
+        if not is_token(word):
+            raise ConfigError(f"insertion vocabulary entry {word!r} is not one token")
+    return vocab
 
 
 def _load_paraphraser(value: object, examples) -> ParaphraseProvider:
@@ -428,24 +433,20 @@ class _Kind:
 
 
 _TABLE = {
-    CHAR_TYPOS: _Kind(perturb_char_typos, 2, "Typos", "Typ"),
-    WORD_HOMOPHONE: _Kind(
-        perturb_word_homophone, 1, "Speech", "Spe", "homophone_lexicon", _load_lexicon
-    ),
-    WORD_DELETE: _Kind(perturb_word_delete, 1, "WordDelete", "Del"),
-    WORD_INSERT: _Kind(perturb_word_insert, 1, "WordInsert", "Ins", "insert_vocab", _load_vocab),
-    APPEND_IRR: _Kind(
-        perturb_append_irr, 0, "AppendIrr", "App", "sentence_pool", _load_sentences
-    ),
+    CHAR_TYPOS: _Kind(_char_typos, 2, "Typos", "Typ"),
+    WORD_HOMOPHONE: _Kind(_word_homophone, 1, "Speech", "Spe", "homophone_lexicon", _load_lexicon),
+    WORD_DELETE: _Kind(_word_delete, 1, "WordDelete", "Del"),
+    WORD_INSERT: _Kind(_word_insert, 1, "WordInsert", "Ins", "insert_vocab", _load_vocab),
+    APPEND_IRR: _Kind(_append_irr, 0, "AppendIrr", "App", "sentence_pool", _load_sentences),
     PARAPHRASE: _Kind(
-        perturb_paraphrase, 0, "Paraphrase", "Par", "paraphrase_provider", _load_paraphraser
+        _paraphrase, 0, "Paraphrase", "Par", "paraphrase_provider", _load_paraphraser
     ),
 }
 KINDS = (*_TABLE, COMPOSITE)
 ASSET_KEYS = tuple(entry.asset for entry in _TABLE.values() if entry.asset)
 
 
-def resolve_assets(
+def _resolve_assets(
     specs: Sequence[PerturbationSpec], examples: Sequence[LabeledExample]
 ) -> list[PerturbationSpec]:
     """Copies of specs holding the loaded asset each operator reads.
@@ -485,12 +486,10 @@ def canonical_member_order(
     return tuple(sorted(members, key=lambda m: _TABLE[m.kind].level))
 
 
-def apply_composite(
+def _composite(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
     """Apply members in canonical order, merging their reports additively."""
-    if spec.kind != COMPOSITE:
-        raise ConfigError(f"expected {COMPOSITE} spec, got {spec.kind}")
     report = PerturbationReport()
     for member in canonical_member_order(spec.members):
         ex, member_report = _TABLE[member.kind].operator(ex, member)
@@ -499,13 +498,13 @@ def apply_composite(
 
 
 def _operator(spec: PerturbationSpec) -> Callable:
-    return apply_composite if spec.kind == COMPOSITE else _TABLE[spec.kind].operator
+    return _composite if spec.kind == COMPOSITE else _TABLE[spec.kind].operator
 
 
-def perturb_examples(
+def _perturb_examples(
     examples: Iterable[LabeledExample], spec: PerturbationSpec
 ) -> Iterator[tuple[LabeledExample, PerturbationReport]]:
-    """Apply a spec that resolve_assets returned to each example in turn."""
+    """Apply a spec that _resolve_assets returned to each example in turn."""
     operator = _operator(spec)
     return (operator(ex, spec) for ex in examples)
 
@@ -513,7 +512,7 @@ def perturb_examples(
 def apply_perturbation(
     ex: LabeledExample, spec: PerturbationSpec
 ) -> tuple[LabeledExample, PerturbationReport]:
-    (spec,) = resolve_assets([spec], (ex,))
+    (spec,) = _resolve_assets([spec], (ex,))
     return _operator(spec)(ex, spec)
 
 
@@ -521,10 +520,10 @@ def perturb_dataset(
     ds: Dataset, spec: PerturbationSpec
 ) -> tuple[Dataset, PerturbationReport]:
     """Perturb every example; output is a pure function of (dataset, spec)."""
-    (spec,) = resolve_assets([spec], ds.examples)
+    (spec,) = _resolve_assets([spec], ds.examples)
     examples: list[LabeledExample] = []
     report = PerturbationReport()
-    for out, ex_report in perturb_examples(ds, spec):
+    for out, ex_report in _perturb_examples(ds, spec):
         examples.append(out)
         report = report.merged(ex_report)
     return Dataset(tuple(examples), ds.labels, ds.split_name), report

@@ -9,9 +9,9 @@ from typing import Sequence
 from .corpus import Dataset, save_dataset, write_json
 from .perturb import (
     PerturbationSpec,
+    _perturb_examples,
+    _resolve_assets,
     kind_token,
-    perturb_examples,
-    resolve_assets,
     spec_to_dict,
 )
 from .schema import check_choice
@@ -48,16 +48,16 @@ class DataPool:
 def build_pool(clean: Dataset, specs: Sequence[PerturbationSpec]) -> DataPool:
     """Produce one perturbed copy of the clean set per spec and merge them.
 
-    The specs' assets are loaded once for the whole pool (resolve_assets).
+    The specs' assets are loaded once for the whole pool (_resolve_assets).
     """
     copies = []
     seen_tokens: dict[str, int] = {}
-    for spec in resolve_assets(specs, clean.examples):
+    for spec in _resolve_assets(specs, clean.examples):
         token = kind_token(spec)
         ordinal = seen_tokens.get(token, 0)
         seen_tokens[token] = ordinal + 1
         suffix = token if ordinal == 0 else f"{token}#{ordinal + 1}"
-        copies.extend(ex.with_id(f"{ex.id}__{suffix}") for ex, _ in perturb_examples(clean, spec))
+        copies.extend(ex.with_id(f"{ex.id}__{suffix}") for ex, _ in _perturb_examples(clean, spec))
     augmented = Dataset(tuple(copies), clean.labels, "augment")
     return DataPool(clean=clean, augmented=augmented)
 

@@ -79,9 +79,10 @@ def resolve_path(value: str, base_dir: Path | None) -> str:
 
 
 def hint(word: str, valid: Collection[str]) -> str:
-    """The valid word closest to word, or all of them when none is close."""
-    close = difflib.get_close_matches(word, sorted(valid), n=1)
-    return f"did you mean {close[0]!r}?" if close else f"expected one of {sorted(valid)}"
+    """The valid word closest to word ignoring case, as written; all of them when none is close."""
+    folded = {value.lower(): value for value in sorted(valid, reverse=True)}
+    close = difflib.get_close_matches(word.lower(), folded, n=1)
+    return f"did you mean {folded[close[0]]!r}?" if close else f"expected one of {sorted(valid)}"
 
 
 def check_choice(value: object, choices: Collection[str], what: str) -> None:

@@ -32,13 +32,9 @@ from slotnoise.harness import RunConfig, render_report, run_experiment
 from slotnoise.parser import parse_predictions
 from slotnoise.perturb import (
     PerturbationSpec,
-    apply_composite,
     apply_perturbation,
     compose,
-    perturb_char_typos,
     perturb_dataset,
-    perturb_word_delete,
-    perturb_word_insert,
 )
 from slotnoise.scorer import MatchCounts, aggregate, gold_pairs
 
@@ -164,7 +160,7 @@ def test_char_typos_edit_distance_exactly_one():
     checked = 0
     for trial in range(400):
         ex = random_example(rng, f"lev{trial}")
-        out, _ = perturb_char_typos(ex, PerturbationSpec(kind=perturb.CHAR_TYPOS, p=1.0, seed=trial))
+        out, _ = apply_perturbation(ex, PerturbationSpec(kind=perturb.CHAR_TYPOS, p=1.0, seed=trial))
         for before, after in zip(ex.tokens, out.tokens):
             assert levenshtein(before, after) == 1
             checked += 1
@@ -175,7 +171,7 @@ def test_span_remap_matches_survivor_oracle():
     rng = random.Random(4)
     for trial in range(1000):
         ex = random_example(rng, f"del{trial}", unique_tokens=True)
-        out, _ = perturb_word_delete(
+        out, _ = apply_perturbation(
             ex, PerturbationSpec(kind=perturb.WORD_DELETE, p=0.4, seed=trial)
         )
         survivors = set(out.tokens)
@@ -187,7 +183,7 @@ def test_span_remap_matches_survivor_oracle():
 
     for trial in range(1000):
         ex = random_example(rng, f"ins{trial}", unique_tokens=True)
-        out, _ = perturb_word_insert(
+        out, _ = apply_perturbation(
             ex,
             PerturbationSpec(
                 kind=perturb.WORD_INSERT, p=0.4, seed=trial, assets={"insert_vocab": ["pad"]}
@@ -311,7 +307,7 @@ def test_composite_equals_sequential_members():
     canonical = [members[0], members[2], members[1]]  # sentence -> word -> char
     for trial in range(1000):
         ex = random_example(rng, f"cmp{trial}")
-        got, _ = apply_composite(ex, composite)
+        got, _ = apply_perturbation(ex, composite)
         want = ex
         for member in canonical:
             want, _ = apply_perturbation(want, member)

@@ -145,6 +145,16 @@ class TestAugment:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    def test_multi_token_insert_vocab_entry_exits_2_before_any_write(self, tmp_path, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("well\nby the way\n", encoding="utf-8")
+        spec = {"kind": "word_insert", "p": 0.5, "seed": 1, "assets": {"insert_vocab": str(vocab)}}
+        out = tmp_path / "out.jsonl"
+        assert augment(out, spec) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: insertion vocabulary entry 'by the way' is not one token\n"
+        assert not out.exists()
+
     def test_spec_asset_paths_resolve_against_the_working_directory(self, tmp_path, monkeypatch):
         (tmp_path / "lex.txt").write_text("play\tpleigh\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
@@ -520,6 +530,28 @@ class TestConfigSchema:
         assert not (tmp_path / "run").exists()
         assert not cache.exists()
 
+    def test_multi_token_insert_vocab_entry_exits_2_before_any_write(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_text("well\nby the way\n", encoding="utf-8")
+        spec = {"kind": "word_insert", "p": 0.5, "seed": 1, "assets": {"insert_vocab": str(vocab)}}
+        config = eval_config(tmp_path, cache_dir=str(cache), pool_specs=[spec])
+        assert run_cli("eval", "--config", str(config)) == 2
+        assert "insertion vocabulary entry 'by the way'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        assert not cache.exists()
+
+    def test_cache_dir_that_is_a_file_exits_1_once_before_any_write(self, tmp_path, capsys, caplog):
+        cache = tmp_path / "cachefile"
+        cache.write_text("kept\n", encoding="utf-8")
+        config = eval_config(tmp_path, cache_dir=str(cache))
+        assert run_cli("eval", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and str(cache) in err
+        assert caplog.records == []
+        assert not (tmp_path / "run").exists()
+        assert cache.read_text(encoding="utf-8") == "kept\n"
+
     def test_demos_without_pool_clean_exits_2_before_any_write(self, tmp_path, capsys):
         cache = tmp_path / "cache"
         config = eval_config(tmp_path, cache_dir=str(cache), pool_clean="")
@@ -847,10 +879,10 @@ def test_unwritable_output_path_exits_1_with_one_line_naming_it(tmp_path, capsys
     assert file.read_text(encoding="utf-8") == "kept\n"
 
 
-def _stored_result(tmp_path: Path) -> str:
-    """The result.json of an eval run named cli-run, outside tmp_path / "run"."""
-    stored = tmp_path / "stored"
-    assert run_cli(*_eval(tmp_path, out_dir=str(stored))) == 0
+def _stored_result(tmp_path: Path, name: str = "cli-run") -> str:
+    """The result.json of an eval run named name, outside tmp_path / "run"."""
+    stored = tmp_path / "stored" / name
+    assert run_cli(*_eval(tmp_path, name=name, out_dir=str(stored))) == 0
     return str(stored / "result.json")
 
 
@@ -879,6 +911,9 @@ BAD_CHOICES = {
     "report-baseline": lambda t: (
         ["report", _stored_result(t), "--baseline", "cli_run"],
         "unknown baseline run: 'cli_run' (did you mean 'cli-run'?)"),
+    "report-baseline-case": lambda t: (
+        ["report", _stored_result(t, "runA"), _stored_result(t, "runB"), "--baseline", "runa"],
+        "unknown baseline run: 'runa' (did you mean 'runA'?)"),
 }
 
 

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from slotnoise import perturb
-from slotnoise.cli import build_arg_parser, main
+from slotnoise.cli import build_arg_parser, main, main_entry
 
 from conftest import DATA_DIR, ROOT
 
@@ -65,6 +65,17 @@ def test_make_splits_reproduces_the_bundled_data(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == bundled
     for name in bundled:
         assert (tmp_path / name).read_bytes() == (DATA_DIR / name).read_bytes(), name
+
+
+def test_console_entry_point_lists_the_bundled_templates(monkeypatch, capsys):
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    assert 'slotnoise = "slotnoise.cli:main_entry"' in pyproject
+    monkeypatch.setattr(sys, "argv", ["slotnoise", "templates", "--list"])
+    with pytest.raises(SystemExit) as exit_info:
+        main_entry()
+    assert exit_info.value.code == 0
+    ids = [line.split("\t")[0] for line in capsys.readouterr().out.splitlines()]
+    assert ids == ["t1_english", "t2_concise", "t3_chinese"]
 
 
 def test_readme_names_every_perturbation_name():

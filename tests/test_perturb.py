@@ -17,18 +17,11 @@ from slotnoise.errors import ConfigError
 from slotnoise.perturb import (
     PerturbationReport,
     PerturbationSpec,
-    apply_composite,
     apply_perturbation,
     compose,
     display_name,
     kind_token,
-    perturb_append_irr,
-    perturb_char_typos,
     perturb_dataset,
-    perturb_paraphrase,
-    perturb_word_delete,
-    perturb_word_homophone,
-    perturb_word_insert,
     spec_from_dict,
     spec_to_dict,
 )
@@ -99,7 +92,7 @@ class TestSpec:
 class TestCharTypos:
     def test_p_zero_is_identity_modulo_provenance(self):
         ex = make_example(["play", "jazz"], [(1, 1, "genre")])
-        out, report = perturb_char_typos(ex, spec(perturb.CHAR_TYPOS, p=0.0))
+        out, report = apply_perturbation(ex, spec(perturb.CHAR_TYPOS, p=0.0))
         assert out.tokens == ex.tokens
         assert out.spans == ex.spans
         assert out.provenance == (perturb.CHAR_TYPOS,)
@@ -109,7 +102,7 @@ class TestCharTypos:
         rng = random.Random(0)
         for trial in range(200):
             ex = random_example(rng, f"e{trial}")
-            out, report = perturb_char_typos(ex, spec(perturb.CHAR_TYPOS, p=1.0, seed=trial))
+            out, report = apply_perturbation(ex, spec(perturb.CHAR_TYPOS, p=1.0, seed=trial))
             assert len(out.tokens) == len(ex.tokens)
             assert report.tokens_edited == len(ex.tokens)
             for before, after in zip(ex.tokens, out.tokens):
@@ -118,14 +111,14 @@ class TestCharTypos:
     def test_single_char_token_never_emptied(self):
         ex = make_example(["a"])
         for seed in range(50):
-            out, _ = perturb_char_typos(ex, spec(perturb.CHAR_TYPOS, p=1.0, seed=seed))
+            out, _ = apply_perturbation(ex, spec(perturb.CHAR_TYPOS, p=1.0, seed=seed))
             assert out.tokens[0]
 
     @given(st.integers(min_value=0, max_value=2**32), st.floats(min_value=0, max_value=1))
     @settings(max_examples=100)
     def test_spans_never_move(self, seed, p):
         ex = make_example(["play", "some", "jazz", "now"], [(2, 2, "genre")])
-        out, _ = perturb_char_typos(ex, spec(perturb.CHAR_TYPOS, p=p, seed=seed))
+        out, _ = apply_perturbation(ex, spec(perturb.CHAR_TYPOS, p=p, seed=seed))
         assert out.spans == ex.spans
         assert len(out.tokens) == len(ex.tokens)
 
@@ -134,7 +127,7 @@ class TestHomophone:
     def test_forced_replacement(self):
         s = spec(perturb.WORD_HOMOPHONE, p=1.0, homophone_lexicon={"two": ["too", "to"]})
         ex = make_example(["two", "cats"])
-        out, report = perturb_word_homophone(ex, s)
+        out, report = apply_perturbation(ex, s)
         assert out.tokens[0] in ("too", "to")
         assert out.tokens[1] == "cats"
         assert report.tokens_edited == 1
@@ -143,7 +136,7 @@ class TestHomophone:
     def test_p_zero_identity(self):
         s = spec(perturb.WORD_HOMOPHONE, p=0.0, homophone_lexicon={"two": ["too"]})
         ex = make_example(["two", "cats"], [(0, 0, "num")])
-        out, _ = perturb_word_homophone(ex, s)
+        out, _ = apply_perturbation(ex, s)
         assert out.tokens == ex.tokens
         assert out.spans == ex.spans
 
@@ -184,7 +177,7 @@ class TestWordDelete:
         ex = make_example(["please", "play", "jazz"], [(2, 2, "genre")])
         # Find a seed deleting exactly token 0.
         for seed in range(500):
-            out, report = perturb_word_delete(ex, spec(perturb.WORD_DELETE, p=0.34, seed=seed))
+            out, report = apply_perturbation(ex, spec(perturb.WORD_DELETE, p=0.34, seed=seed))
             if out.tokens == ("play", "jazz"):
                 assert out.spans == (SlotSpan(1, 1, "genre"),)
                 assert report.tokens_edited == 1
@@ -194,7 +187,7 @@ class TestWordDelete:
     def test_interior_deletion_shrinks_span(self):
         ex = make_example(["a", "b", "c", "d", "e"], [(1, 3, "t")])
         for seed in range(500):
-            out, report = perturb_word_delete(ex, spec(perturb.WORD_DELETE, p=0.2, seed=seed))
+            out, report = apply_perturbation(ex, spec(perturb.WORD_DELETE, p=0.2, seed=seed))
             if len(out.tokens) == 4 and "c" not in out.tokens:
                 assert out.spans == (SlotSpan(1, 2, "t"),)
                 assert report.spans_repaired == 1
@@ -204,7 +197,7 @@ class TestWordDelete:
     def test_whole_span_deleted_is_dropped(self):
         ex = make_example(["play", "jazz", "now"], [(1, 1, "genre")])
         for seed in range(500):
-            out, report = perturb_word_delete(ex, spec(perturb.WORD_DELETE, p=0.34, seed=seed))
+            out, report = apply_perturbation(ex, spec(perturb.WORD_DELETE, p=0.34, seed=seed))
             if "jazz" not in out.tokens:
                 assert report.spans_dropped == 1
                 assert out.spans == ()
@@ -213,21 +206,21 @@ class TestWordDelete:
 
     def test_single_token_example_passes_through(self):
         ex = make_example(["solo"])
-        out, report = perturb_word_delete(ex, spec(perturb.WORD_DELETE, p=1.0))
+        out, report = apply_perturbation(ex, spec(perturb.WORD_DELETE, p=1.0))
         assert out.tokens == ex.tokens
         assert report.notes
 
     def test_at_least_one_token_survives(self):
         ex = make_example(["a", "b", "c"])
         for seed in range(100):
-            out, _ = perturb_word_delete(ex, spec(perturb.WORD_DELETE, p=1.0, seed=seed))
+            out, _ = apply_perturbation(ex, spec(perturb.WORD_DELETE, p=1.0, seed=seed))
             assert len(out.tokens) >= 1
 
     def test_remap_matches_survivor_oracle(self):
         rng = random.Random(1)
         for trial in range(1000):
             ex = random_example(rng, f"d{trial}", unique_tokens=True)
-            out, _ = perturb_word_delete(
+            out, _ = apply_perturbation(
                 ex, spec(perturb.WORD_DELETE, p=rng.choice([0.1, 0.3, 0.6]), seed=trial)
             )
             survivors = set(out.tokens)
@@ -241,14 +234,14 @@ class TestWordDelete:
 class TestWordInsert:
     def test_p_zero_identity(self):
         ex = make_example(["play", "jazz"], [(1, 1, "genre")])
-        out, _ = perturb_word_insert(ex, spec(perturb.WORD_INSERT, p=0.0, insert_vocab=["x"]))
+        out, _ = apply_perturbation(ex, spec(perturb.WORD_INSERT, p=0.0, insert_vocab=["x"]))
         assert out.tokens == ex.tokens
         assert out.spans == ex.spans
 
     def test_shift_before_span(self):
         ex = make_example(["play", "smooth", "jazz"], [(1, 2, "genre")])
         for seed in range(500):
-            out, _ = perturb_word_insert(
+            out, _ = apply_perturbation(
                 ex, spec(perturb.WORD_INSERT, p=0.3, seed=seed, insert_vocab=["well"])
             )
             if len(out.tokens) == 4 and out.tokens[0] == "well":
@@ -259,7 +252,7 @@ class TestWordInsert:
     def test_never_inserts_inside_span(self):
         ex = make_example(["play", "smooth", "cool", "jazz", "now"], [(1, 3, "genre")])
         for seed in range(200):
-            out, _ = perturb_word_insert(
+            out, _ = apply_perturbation(
                 ex, spec(perturb.WORD_INSERT, p=1.0, seed=seed, insert_vocab=["zzz"])
             )
             span = out.spans[0]
@@ -269,7 +262,7 @@ class TestWordInsert:
         rng = random.Random(2)
         for trial in range(300):
             ex = random_example(rng, f"i{trial}")
-            out, _ = perturb_word_insert(
+            out, _ = apply_perturbation(
                 ex,
                 spec(perturb.WORD_INSERT, p=0.5, seed=trial, insert_vocab=["pad", "fill"]),
             )
@@ -279,7 +272,7 @@ class TestWordInsert:
         rng = random.Random(3)
         for trial in range(1000):
             ex = random_example(rng, f"s{trial}", unique_tokens=True)
-            out, _ = perturb_word_insert(
+            out, _ = apply_perturbation(
                 ex, spec(perturb.WORD_INSERT, p=0.5, seed=trial, insert_vocab=["pad"])
             )
             assert len(out.spans) == len(ex.spans)
@@ -298,7 +291,7 @@ class TestAppendIrr:
     def test_p_one_appends_and_keeps_spans(self):
         s = spec(perturb.APPEND_IRR, p=1.0, sentence_pool=["by the way thanks"])
         ex = make_example(["play", "jazz"], [(1, 1, "genre")])
-        out, report = perturb_append_irr(ex, s)
+        out, report = apply_perturbation(ex, s)
         assert out.tokens == ("play", "jazz", "by", "the", "way", "thanks")
         assert out.spans == ex.spans
         assert report.tokens_edited == 1
@@ -306,7 +299,7 @@ class TestAppendIrr:
     def test_p_zero_identity(self):
         s = spec(perturb.APPEND_IRR, p=0.0, sentence_pool=["hi there"])
         ex = make_example(["play", "jazz"])
-        out, _ = perturb_append_irr(ex, s)
+        out, _ = apply_perturbation(ex, s)
         assert out.tokens == ex.tokens
 
     def test_empty_pool_is_config_error(self):
@@ -318,7 +311,7 @@ class TestAppendIrr:
         s = spec(perturb.APPEND_IRR, p=0.7, seed=9, sentence_pool=["pad pad pad"])
         for trial in range(1000):
             ex = random_example(rng, f"a{trial}")
-            out, _ = perturb_append_irr(ex, s)
+            out, _ = apply_perturbation(ex, s)
             n = len(ex.tokens)
             assert out.tokens[:n] == ex.tokens
             assert out.spans == ex.spans
@@ -337,7 +330,7 @@ class TestParaphrase:
         def provider(text: str) -> str:
             return "on Spotify please play Abbey Road"
 
-        out, _ = perturb_paraphrase(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
+        out, _ = apply_perturbation(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
         assert out.spans == (SlotSpan(1, 1, "service"), SlotSpan(4, 5, "album"))
         assert out.tokens[4:6] == ("Abbey", "Road")
 
@@ -347,7 +340,7 @@ class TestParaphrase:
         def provider(text: str) -> str:
             return "play something nice"
 
-        out, report = perturb_paraphrase(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
+        out, report = apply_perturbation(ex, spec(perturb.PARAPHRASE, paraphrase_provider=provider))
         assert out == ex
         assert any("rejected" in note for note in report.notes)
 
@@ -369,7 +362,7 @@ class TestComposite:
     def test_all_p_zero_is_identity_modulo_provenance(self):
         members = self._members(p=0.0)
         ex = make_example(["play", "two", "songs"], [(2, 2, "thing")])
-        out, _ = apply_composite(ex, compose(members))
+        out, _ = apply_perturbation(ex, compose(members))
         assert out.tokens == ex.tokens
         assert out.spans == ex.spans
         assert set(out.provenance) == {m.kind for m in members}
@@ -378,7 +371,7 @@ class TestComposite:
         ex = make_example(["two", "cats"])
         # Members listed char-first; application order must still be
         # sentence -> word -> char, visible in provenance.
-        out, _ = apply_composite(ex, compose(self._members()))
+        out, _ = apply_perturbation(ex, compose(self._members()))
         assert out.provenance == (perturb.APPEND_IRR, perturb.WORD_HOMOPHONE, perturb.CHAR_TYPOS)
 
     def test_composite_equals_sequential_application(self):
@@ -388,7 +381,7 @@ class TestComposite:
         ordered = [members[0], members[2], members[1]]  # sentence, word, char
         for trial in range(1000):
             ex = random_example(rng, f"c{trial}")
-            got, got_report = apply_composite(ex, composite)
+            got, got_report = apply_perturbation(ex, composite)
             want = ex
             reports = PerturbationReport()
             for member in ordered:
