@@ -5,12 +5,11 @@ The default embedding is a hashed character-trigram term-frequency vector
 provider can be plugged in via :func:`http_embedding_provider` when higher
 fidelity retrieval is wanted.
 
-The demonstration builders take the candidates they choose from: a sequence
-of examples, or a :class:`PoolIndex` over them. A run builds one index under
-either strategy and draws or ranks every query against it, so each label's
-candidates are listed and each candidate embedded at most once per run (a
-plain sequence becomes a local index per call). Ranking is exact top-k by
-cosine similarity, ties broken by ascending candidate id.
+The demonstration builders choose from a :class:`PoolIndex`: ``PoolIndex(candidates)``
+without a provider uses the trigram embedding, and an empty candidate list is a
+DataError. A run builds one index and draws or ranks every query against it, so
+each label's candidates are listed and each candidate embedded at most once per
+run. Ranking is exact top-k by cosine similarity, ties broken by ascending id.
 """
 
 from __future__ import annotations
@@ -127,6 +126,8 @@ class PoolIndex:
         labels: Iterable[str] = (),
     ):
         self.candidates = tuple(candidates)
+        if not self.candidates:
+            raise DataError("no candidates to demonstrate from")
         self.provider = provider
         self._buckets: dict[str, int] = {}
         self.require_labels(labels)
@@ -194,23 +195,11 @@ class PoolIndex:
         return [self.candidates[i] for _, _, i in ranked[:k]]
 
 
-Candidates = Sequence[LabeledExample] | PoolIndex
+def rank_by_similarity(query: LabeledExample, index: PoolIndex, k: int) -> list[LabeledExample]:
+    """Top-k candidates of index by cosine similarity to the query utterance.
 
-
-def _index(candidates: Candidates) -> PoolIndex:
-    """candidates as an index: itself, or a new one with the local embedding."""
-    return candidates if isinstance(candidates, PoolIndex) else PoolIndex(candidates)
-
-
-def rank_by_similarity(
-    query: LabeledExample, candidates: Candidates, k: int
-) -> list[LabeledExample]:
-    """Top-k candidates by cosine similarity to the query utterance.
-
-    candidates is a :class:`PoolIndex`, which ranks with the provider it was
-    built with, or a sequence of examples, embedded here locally. Ties break
-    by ascending candidate id, so the result is independent of the candidate
-    order.
+    The index ranks with its provider, else the trigram embedding. Ties break
+    by ascending candidate id, so the result is independent of candidate order.
 
     One matrix-vector product scores every candidate. BLAS batching
     reassociates the sums, so those scores can differ from per-candidate dot
@@ -221,9 +210,6 @@ def rank_by_similarity(
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    if not len(candidates):
-        return []
-    index = _index(candidates)
     return index.top_k(index.embed(query.utterance), k)
 
 
@@ -259,7 +245,7 @@ def _render_instance(ex: LabeledExample) -> str:
 
 def build_entity_demos(
     input_ex: LabeledExample,
-    candidates: Candidates,
+    index: PoolIndex,
     labels: LabelSet,
     strategy: str = RANDOM_STRATEGY,
     seed: int = 0,
@@ -268,12 +254,10 @@ def build_entity_demos(
 
     random picks uniformly over (example, span) pairs of that label;
     retrieve takes the span from the label-bearing candidate most similar to
-    the input utterance, ranked against candidates as in
-    :func:`rank_by_similarity`. The input is embedded once and every
-    candidate scored once; each label's pick is the top-1 over its rows.
+    the input, ranked as in :func:`rank_by_similarity`. The input is embedded
+    once and every candidate scored once; each label's pick is its rows' top-1.
     """
     check_choice(strategy, STRATEGIES, "strategy")
-    index = _index(candidates)
     index.require_labels(labels)
     rng = random.Random(seed)
     if strategy == RETRIEVE_STRATEGY:
@@ -295,7 +279,7 @@ def build_entity_demos(
 
 def build_instance_demos(
     input_ex: LabeledExample,
-    candidates: Candidates,
+    index: PoolIndex,
     strategy: str = RANDOM_STRATEGY,
     k: int = 5,
     seed: int = 0,
@@ -303,16 +287,13 @@ def build_instance_demos(
     """k full examples rendered as Sentence/Entities blocks.
 
     random samples uniformly without replacement; retrieve takes the top-k
-    by similarity, ranked against candidates by :func:`rank_by_similarity`.
+    by similarity, ranked by :func:`rank_by_similarity`.
     Asking for more examples than there are candidates returns them all
     with a note.
     """
     check_choice(strategy, STRATEGIES, "strategy")
     if k <= 0:
         return DemonstrationSet(())
-    index = _index(candidates)
-    if not len(index):
-        raise DataError("no candidates to demonstrate from")
     notes: tuple[str, ...] = ()
     if k > len(index):
         notes = (f"requested {k} demonstrations, pool has {len(index)}",)

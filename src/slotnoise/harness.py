@@ -117,6 +117,8 @@ class RunConfig:
             )
         kwargs["test_splits"] = tuple((str(g), resolve_path(str(p), base_dir)) for g, p in pairs)
         specs = data.get("pool_specs", ())
+        if not isinstance(specs, (list, tuple)):
+            raise ConfigError(f"config key 'pool_specs' must be a list, got {specs!r}")
         kwargs["pool_specs"] = tuple(spec_from_dict(s, base_dir) for s in specs)
         model = scalars_from_dict(ModelConfig, data.get("model", {}), "model")
         kwargs["model"] = ModelConfig(**model)
@@ -163,9 +165,9 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
 
     The template registry; the label file's labels, else those observed over the
     pool's mixed set and then the splits; the splits; and one PoolIndex over the
-    demo_pool candidates, None unless a variant has demo_k > 0. An empty
-    demo_pool is a DataError, and so is, in entity mode, a label that no
-    candidate carries.
+    demo_pool candidates, None unless a variant has demo_k > 0. An empty test
+    split or demo_pool is a DataError, and so is, in entity mode, a label that
+    no candidate carries.
     """
     cfg = subs[0]
     registry = load_registry(cfg.templates_dir) if cfg.templates_dir else bundled_registry()
@@ -173,6 +175,9 @@ def _prepare(subs: Sequence[RunConfig]) -> tuple:
         check_choice(sub.template_id, registry, "template id")
     labels = LabelSet.load(cfg.labels_path) if cfg.labels_path else None
     splits = [(group, load_dataset(path, split_name=group)) for group, path in cfg.test_splits]
+    for (group, path), (_, ds) in zip(cfg.test_splits, splits):
+        if not ds.examples:
+            raise DataError(f"test split {group!r} ({path}) holds no examples")
     for group, ds in splits if labels is not None else ():
         missing = [name for name in ds.labels if name not in labels]
         if missing:

@@ -136,6 +136,8 @@ def aggregate(
     whose lowercased name is "clean" is excluded from the Overall block
     (unless it is the only group present).
     """
+    if not counts:
+        raise DataError("no scored examples to aggregate")
     orphan_counts = sorted(set(counts) - set(groups))
     if orphan_counts:
         raise DataError(f"examples with no group assignment: {', '.join(orphan_counts)}")

@@ -27,7 +27,7 @@ from slotnoise import perturb
 from slotnoise.cli import main as cli_main
 from slotnoise.client import ModelConfig, complete
 from slotnoise.corpus import SlotSpan, bio_to_spans, spans_to_bio
-from slotnoise.demos import embed, rank_by_similarity
+from slotnoise.demos import PoolIndex, embed, rank_by_similarity
 from slotnoise.harness import RunConfig, render_report, run_experiment
 from slotnoise.parser import parse_predictions
 from slotnoise.perturb import (
@@ -237,12 +237,12 @@ def test_retrieval_matches_full_sort():
     sims = [float(np.dot(qv, embed(c.utterance))) for c in candidates]
     order = full_sort_ranking(sims, [c.id for c in candidates])
     for k in (1, 5, 10):
-        got = [c.id for c in rank_by_similarity(query, candidates, k=k)]
+        got = [c.id for c in rank_by_similarity(query, PoolIndex(candidates), k=k)]
         assert got == [candidates[i].id for i in order[:k]]
     shuffled = candidates[:]
     rng.shuffle(shuffled)
     for k in (1, 5, 10):
-        got = [c.id for c in rank_by_similarity(query, shuffled, k=k)]
+        got = [c.id for c in rank_by_similarity(query, PoolIndex(shuffled), k=k)]
         assert got == [candidates[i].id for i in order[:k]]
     ok("retrieval correctness (top-k = full-sort prefix, order-invariant)")
 

@@ -488,6 +488,10 @@ class TestConfigSchema:
             ("max_error_fraction", float("nan")),
             ("test_splits", ["abc"]),
             ("test_splits", "clean.jsonl"),
+            ("pool_specs", 5),
+            ("pool_specs", None),
+            ("pool_specs", "abc"),
+            ("pool_specs", {"kind": "char_typos"}),
         ],
     )
     def test_bad_value_exits_2_before_any_write(self, tmp_path, capsys, key, value):
@@ -794,6 +798,31 @@ class TestRunLabelSet:
             listed[k] = {p.split("allowed slot types are: ", 1)[1].split(".\n", 1)[0] for p in prompts}
         assert len(listed["k0"]) == 1 and listed["k0"] == listed["k1"]
         assert "vehicle" in next(iter(listed["k0"])).split(", ")
+
+
+class TestEmptyTestSplit:
+    @pytest.mark.parametrize(
+        "splits", [{"Typos": None}, {"Clean": CLEAN, "Typos": None}], ids=["alone", "mixed"]
+    )
+    def test_empty_split_exits_1_before_any_write(self, tmp_path, capsys, splits):
+        empty = tmp_path / "typos.jsonl"
+        empty.write_text("", encoding="utf-8")
+        splits = {group: path or str(empty) for group, path in splits.items()}
+        config = eval_config(tmp_path, test_splits=splits)
+        assert run_cli("eval", "--config", str(config)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: test split 'Typos' ({empty}) holds no examples\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_score_over_empty_logs_exits_1(self, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        for name in ("gold.jsonl", "predictions.jsonl"):
+            (run_dir / name).write_text("", encoding="utf-8")
+        assert run_cli("score", str(run_dir)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: no scored examples to aggregate\n"
+        assert not captured.out
 
 
 def _eval(tmp_path: Path, **overrides) -> list[str]:

@@ -78,14 +78,14 @@ class TestRanking:
             make_example(["book", "a", "table"], ex_id="far"),
             make_example(["play", "some", "jazz"], ex_id="same"),
         ]
-        top = rank_by_similarity(query, candidates, k=1)
+        top = rank_by_similarity(query, PoolIndex(candidates), k=1)
         assert top[0].id == "same"
 
     def test_k_larger_than_pool_returns_all_sorted(self):
         rng = random.Random(0)
         candidates = self._candidates(rng, 5)
         query = make_example(["play", "jazz"])
-        got = rank_by_similarity(query, candidates, k=50)
+        got = rank_by_similarity(query, PoolIndex(candidates), k=50)
         assert len(got) == 5
 
     def test_matches_full_sort_oracle(self):
@@ -96,7 +96,7 @@ class TestRanking:
         sims = [float(np.dot(qv, embed(c.utterance))) for c in candidates]
         order = full_sort_ranking(sims, [c.id for c in candidates])
         for k in (1, 5, 10):
-            got = [c.id for c in rank_by_similarity(query, candidates, k=k)]
+            got = [c.id for c in rank_by_similarity(query, PoolIndex(candidates), k=k)]
             want = [candidates[i].id for i in order[:k]]
             assert got == want
 
@@ -104,10 +104,10 @@ class TestRanking:
         rng = random.Random(2)
         candidates = self._candidates(rng, 200)
         query = make_example(["book", "a", "table", "for", "two"])
-        baseline = [c.id for c in rank_by_similarity(query, candidates, k=10)]
+        baseline = [c.id for c in rank_by_similarity(query, PoolIndex(candidates), k=10)]
         shuffled = candidates[:]
         rng.shuffle(shuffled)
-        assert [c.id for c in rank_by_similarity(query, shuffled, k=10)] == baseline
+        assert [c.id for c in rank_by_similarity(query, PoolIndex(shuffled), k=10)] == baseline
 
     def test_exact_ties_take_smallest_ids(self):
         # Duplicated utterances score identically, so the shortlist around
@@ -121,7 +121,7 @@ class TestRanking:
         query = make_example(["play", "some", "jazz"])
         expected = sorted(tied) + sorted(others)
         for k in (1, 7, 60, 65):
-            assert [c.id for c in rank_by_similarity(query, candidates, k=k)] == expected[:k]
+            assert [c.id for c in rank_by_similarity(query, PoolIndex(candidates), k=k)] == expected[:k]
 
     def test_provider_identity_reuse_serves_no_stale_vectors(self):
         # B is created right after A is freed, so CPython gives it A's id().
@@ -149,19 +149,11 @@ class TestPoolIndex:
             bearing = [i for i, ex in enumerate(candidates) if any(s.slot_type == name for s in ex.spans)]
             assert rows.tolist() == bearing
 
-    def test_shared_index_matches_fresh_local_index(self, clean_dataset):
-        # A PoolIndex and the plain sequence of its examples are the same candidates.
-        examples = small_pool(clean_dataset).mixed.examples
-        index = PoolIndex(examples)
-        labels = clean_dataset.labels
-        for strategy in ("random", "retrieve"):
-            for seed, query in enumerate(clean_dataset.examples[:8]):
-                assert build_instance_demos(
-                    query, index, strategy, k=4, seed=seed
-                ) == build_instance_demos(query, examples, strategy, k=4, seed=seed)
-                assert build_entity_demos(
-                    query, index, labels, strategy, seed=seed
-                ) == build_entity_demos(query, examples, labels, strategy, seed=seed)
+    def test_empty_candidates_are_refused_before_labels_or_provider(self):
+        calls = []
+        with pytest.raises(DataError, match="^no candidates to demonstrate from$"):
+            PoolIndex((), provider=calls.append, labels=("genre",))
+        assert calls == []
 
     def test_provider_row_count_is_checked(self):
         with pytest.raises(ClientError, match="shape"):
@@ -172,7 +164,7 @@ class TestEntityDemos:
     def test_forced_choice(self):
         pool = build_pool(make_dataset([make_example(["play", "jazz"], [(1, 1, "genre")], "only")]), [])
         demos = build_entity_demos(
-            make_example(["hi"]), pool.clean.examples, LabelSet(("genre",)), "random", seed=0
+            make_example(["hi"]), PoolIndex(pool.clean.examples), LabelSet(("genre",)), "random", seed=0
         )
         assert demos.items[0].rendered == '"jazz" is genre.\n'
         assert demos.items[0].source_ids == ("only",)
@@ -182,7 +174,11 @@ class TestEntityDemos:
         input_ex = clean_dataset.examples[0]
         for pool_label in ("clean", "augment", "mixed"):
             demos = build_entity_demos(
-                input_ex, pool.select(pool_label).examples, clean_dataset.labels, "random", seed=3
+                input_ex,
+                PoolIndex(pool.select(pool_label).examples),
+                clean_dataset.labels,
+                "random",
+                seed=3,
             )
             assert len(demos.items) == len(clean_dataset.labels)
             for item, label in zip(demos.items, clean_dataset.labels):
@@ -193,14 +189,14 @@ class TestEntityDemos:
         labels = LabelSet(tuple(clean_dataset.labels) + ("unseen_label",))
         with pytest.raises(DataError, match="unseen_label"):
             build_entity_demos(
-                clean_dataset.examples[0], pool.clean.examples, labels, "random", seed=0
+                clean_dataset.examples[0], PoolIndex(pool.clean.examples), labels, "random", seed=0
             )
 
     def test_retrieve_matches_argmax_oracle(self, clean_dataset):
         pool = small_pool(clean_dataset)
         labels = clean_dataset.labels
         query = clean_dataset.examples[5]
-        demos = build_entity_demos(query, pool.mixed.examples, labels, "retrieve", seed=0)
+        demos = build_entity_demos(query, PoolIndex(pool.mixed.examples), labels, "retrieve", seed=0)
         qv = embed(query.utterance)
         for item, label in zip(demos.items, labels):
             bearing = [
@@ -230,7 +226,8 @@ class TestEntityDemos:
         assert len(requests) == 1 + len(queries)
         assert requests[1:] == [[query.utterance] for query in queries]
         assert demos == [
-            build_entity_demos(query, pool.clean.examples, labels, "retrieve") for query in queries
+            build_entity_demos(query, PoolIndex(pool.clean.examples), labels, "retrieve")
+            for query in queries
         ]
 
     def test_retrieve_scores_every_candidate_once_per_query(self, clean_dataset):
@@ -251,15 +248,19 @@ class TestEntityDemos:
         for query in queries:
             assert build_entity_demos(
                 query, index, labels, "retrieve"
-            ) == build_entity_demos(query, pool.mixed.examples, labels, "retrieve")
+            ) == build_entity_demos(query, PoolIndex(pool.mixed.examples), labels, "retrieve")
         assert len(labels) > 1
         assert products == [index.matrix.shape] * len(queries)
 
     def test_random_is_pure_function_of_seed(self, clean_dataset):
         pool = small_pool(clean_dataset)
         query = clean_dataset.examples[2]
-        first = build_entity_demos(query, pool.clean.examples, clean_dataset.labels, "random", seed=11)
-        second = build_entity_demos(query, pool.clean.examples, clean_dataset.labels, "random", seed=11)
+        first = build_entity_demos(
+            query, PoolIndex(pool.clean.examples), clean_dataset.labels, "random", seed=11
+        )
+        second = build_entity_demos(
+            query, PoolIndex(pool.clean.examples), clean_dataset.labels, "random", seed=11
+        )
         assert first == second
 
 
@@ -269,7 +270,9 @@ class TestInstanceDemos:
             ["play", "jazz", "on", "spotify"], [(1, 1, "genre"), (3, 3, "service")], "p1"
         )
         pool = build_pool(make_dataset([ex]), [])
-        demos = build_instance_demos(make_example(["hi"]), pool.clean.examples, "random", k=1, seed=0)
+        demos = build_instance_demos(
+            make_example(["hi"]), PoolIndex(pool.clean.examples), "random", k=1, seed=0
+        )
         assert demos.items[0].rendered == (
             'Sentence: play jazz on spotify\nEntities: "jazz" is genre; "spotify" is service\n'
         )
@@ -277,13 +280,15 @@ class TestInstanceDemos:
     def test_no_spans_renders_none(self):
         ex = make_example(["hello", "there"], ex_id="empty")
         pool = build_pool(make_dataset([ex]), [])
-        demos = build_instance_demos(make_example(["hi"]), pool.clean.examples, "random", k=1, seed=0)
+        demos = build_instance_demos(
+            make_example(["hi"]), PoolIndex(pool.clean.examples), "random", k=1, seed=0
+        )
         assert demos.items[0].rendered.endswith("Entities: none\n")
 
     def test_retrieve_top3_matches_oracle(self, clean_dataset):
         pool = small_pool(clean_dataset)
         query = clean_dataset.examples[7]
-        demos = build_instance_demos(query, pool.mixed.examples, "retrieve", k=3, seed=0)
+        demos = build_instance_demos(query, PoolIndex(pool.mixed.examples), "retrieve", k=3, seed=0)
         qv = embed(query.utterance)
         scored = sorted(
             pool.mixed.examples,
@@ -294,21 +299,23 @@ class TestInstanceDemos:
     def test_k_beyond_pool_returns_all_with_note(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[0], pool.clean.examples, "random", k=999, seed=0
+            clean_dataset.examples[0], PoolIndex(pool.clean.examples), "random", k=999, seed=0
         )
         assert len(demos.items) == len(clean_dataset)
         assert demos.notes
 
     def test_k_zero_is_empty(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
-        demos = build_instance_demos(clean_dataset.examples[0], pool.clean.examples, "random", k=0, seed=0)
+        demos = build_instance_demos(
+            clean_dataset.examples[0], PoolIndex(pool.clean.examples), "random", k=0, seed=0
+        )
         assert demos.items == ()
         assert demos.text() == ""
 
     def test_random_sampling_without_replacement(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[0], pool.clean.examples, "random", k=10, seed=4
+            clean_dataset.examples[0], PoolIndex(pool.clean.examples), "random", k=10, seed=4
         )
         sources = [item.source_ids[0] for item in demos.items]
         assert len(sources) == len(set(sources)) == 10
@@ -316,7 +323,7 @@ class TestInstanceDemos:
     def test_rendered_contains_selected_surfaces_verbatim(self, clean_dataset):
         pool = build_pool(clean_dataset, [])
         demos = build_instance_demos(
-            clean_dataset.examples[1], pool.clean.examples, "random", k=5, seed=9
+            clean_dataset.examples[1], PoolIndex(pool.clean.examples), "random", k=5, seed=9
         )
         by_id = {ex.id: ex for ex in pool.clean}
         for item in demos.items:

@@ -158,3 +158,34 @@ def test_src_modules_use_every_name_they_import():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.extend(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
     assert unused == []
+
+
+def test_src_modules_define_no_unreferenced_names():
+    # A module-level function, class or assigned name must be read somewhere in
+    # src/, by name or as an attribute of an imported name, or be listed in
+    # slotnoise.__all__. Dunder names such as __version__ are read by tools.
+    import slotnoise
+
+    defined = {}
+    referenced = set(slotnoise.__all__)
+    for path in sorted((ROOT / "src" / "slotnoise").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined.update((name, f"{path.name}:{node.lineno}") for name in names)
+        imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+        modules = {alias.asname or alias.name.split(".")[0] for node in imports for alias in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+                referenced.add(node.attr)
+    assert len(defined) > 200
+    unreferenced = [f"{where} {name}" for name, where in defined.items() if name not in referenced]
+    assert [line for line in unreferenced if not line.split()[1].startswith("__")] == []
